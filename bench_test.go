@@ -14,11 +14,14 @@ import (
 	"queryaudit/internal/audit"
 	"queryaudit/internal/audit/boolrange"
 	"queryaudit/internal/audit/maxfull"
+	"queryaudit/internal/audit/maxminfull"
 	"queryaudit/internal/audit/maxminprob"
 	"queryaudit/internal/audit/maxprob"
 	"queryaudit/internal/audit/sumfull"
 	"queryaudit/internal/audit/sumprob"
+	"queryaudit/internal/auditlog"
 	"queryaudit/internal/coloring"
+	"queryaudit/internal/core"
 	"queryaudit/internal/experiments"
 	"queryaudit/internal/persist"
 	"queryaudit/internal/query"
@@ -312,6 +315,52 @@ func BenchmarkMaxAuditorDecide(b *testing.B) {
 	qs := make([]query.Query, 64)
 	for i := range qs {
 		qs[i] = gen.Next()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Decide(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaxMinFullDecide measures one Section 4 max∧min decision at
+// serving scale: the n=10000 company table, max/min statements of the
+// four dashboard WHERE shapes (age range, department, zip plus age
+// floor, age floor) and a history warmed by answering the first half of
+// them. Each op decides the next statement of the whole pool.
+func BenchmarkMaxMinFullDecide(b *testing.B) {
+	cfg := auditlog.StackConfig{Family: "full", N: 10000, Seed: 1}
+	ds := cfg.NewDataset()
+	rng := randx.New(11)
+	zips := []string{"94305", "94301", "94025", "95014", "94040"}
+	depts := []string{"eng", "sales", "hr", "finance", "legal"}
+	var qs []query.Query
+	for len(qs) < 64 {
+		var where string
+		switch rng.Intn(4) {
+		case 0:
+			lo := 21 + rng.Intn(35)
+			where = fmt.Sprintf("age BETWEEN %d AND %d", lo, lo+4+rng.Intn(18))
+		case 1:
+			where = fmt.Sprintf("dept = '%s'", depts[rng.Intn(len(depts))])
+		case 2:
+			where = fmt.Sprintf("zip = '%s' AND age >= %d", zips[rng.Intn(len(zips))], 21+rng.Intn(25))
+		default:
+			where = fmt.Sprintf("age >= %d", 21+rng.Intn(35))
+		}
+		kind := [2]string{"max", "min"}[len(qs)%2]
+		q, err := core.ResolveSQL(ds, "salary", fmt.Sprintf("SELECT %s(salary) WHERE %s", kind, where))
+		if err != nil || len(q.Set) == 0 {
+			continue
+		}
+		qs = append(qs, q)
+	}
+	a := maxminfull.New(ds.N())
+	for _, q := range qs[:len(qs)/2] {
+		if d, _ := a.Decide(q); d == audit.Answer {
+			a.Record(q, ds.Eval(q))
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

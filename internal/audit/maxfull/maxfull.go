@@ -57,8 +57,8 @@ func (a *Auditor) Candidates(q query.Set) []float64 {
 	// random order) keeps the candidate stream deterministic.
 	values := make([]float64, 0, len(q))
 	for _, i := range q {
-		if p, ok := a.syn.PredOf(i); ok {
-			values = append(values, p.Value)
+		if h, ok := a.syn.Head(i); ok {
+			values = append(values, h.Value)
 		}
 	}
 	return audit.CandidateAnswers(values, a.syn.EqValues())
@@ -118,7 +118,7 @@ func (a *Auditor) DecideReference(q query.Query) (audit.Decision, error) {
 //	  (shrink) an equality predicate with value > a keeps exactly one
 //	  element after its Q-members move below a.
 type touching struct {
-	pred synopsis.Pred
+	pred synopsis.PredHead
 	cnt  int
 }
 
@@ -126,7 +126,7 @@ func (a *Auditor) decideFast(q query.Set) audit.Decision {
 	byPred := make(map[int]*touching)
 	free := 0
 	for _, i := range q {
-		p, ok := a.syn.PredOf(i)
+		p, ok := a.syn.Head(i)
 		if !ok {
 			free++
 			continue
@@ -165,7 +165,7 @@ func evalCandidate(syn *synopsis.Max, a float64, touches []*touching, free int) 
 	// A foreign equality predicate owning a makes the answer impossible;
 	// an intersecting one switches to the merge analysis.
 	var merge *touching
-	if gp, ok := syn.EqPredWithValue(a); ok {
+	if gp, ok := syn.EqHead(a); ok {
 		found := false
 		for _, t := range touches {
 			if t.pred.ID == gp.ID {
@@ -186,11 +186,11 @@ func evalCandidate(syn *synopsis.Max, a float64, touches []*touching, free int) 
 		case synopsis.OpEq:
 			switch {
 			case p.Value > a:
-				if t.cnt == len(p.Set) {
+				if t.cnt == p.Size {
 					return false, false // forces max(Q) > a
 				}
 				witnesses += t.cnt
-				if len(p.Set)-t.cnt == 1 {
+				if p.Size-t.cnt == 1 {
 					shrinkSingleton = true
 				}
 			//auditlint:allow floateq candidates are copied predicate values; equality selects the owning predicate exactly
@@ -260,7 +260,7 @@ func (a *Auditor) Knowledge() []audit.ElementKnowledge {
 		if v, strict, ok := a.syn.UpperBound(i); ok {
 			k.Upper, k.UpperStrict = v, strict
 		}
-		if p, ok := a.syn.PredOf(i); ok && p.Eq() && len(p.Set) == 1 {
+		if p, ok := a.syn.Head(i); ok && p.Op == synopsis.OpEq && p.Size == 1 {
 			k.Pinned = true
 			k.Lower, k.LowerStrict = p.Value, false
 			k.Upper, k.UpperStrict = p.Value, false

@@ -8,12 +8,15 @@
 // representative per open interval they delimit (representatives chosen
 // to dodge every equality value in the synopsis; see
 // audit.CandidateAnswers for why a collision would be a privacy hole). A
-// candidate is folded into a clone of the combined synopsis
-// B = (B_max, B_min); inconsistent candidates are skipped (they cannot be
-// the true answer), and if any consistent candidate would uniquely
-// determine some element — per the Theorem 3 characterization — the
-// query is denied. The synopsis keeps the audit trail at O(n) in place
-// of the raw query log (Section 4, "no duplicates" discussion).
+// candidate is folded into the combined synopsis B = (B_max, B_min) as a
+// trial (synopsis.MaxMin.Try) and rolled back through B's undo log, so
+// each candidate costs O(|Q|) plus the sizes of the predicates Q
+// touches, and neither Decide nor Record copies B. Inconsistent
+// candidates are skipped (they cannot be the true answer), and if any
+// consistent candidate would uniquely determine some element — per the
+// Theorem 3 characterization — the query is denied. The synopsis keeps
+// the audit trail at O(n) in place of the raw query log (Section 4, "no
+// duplicates" discussion).
 package maxminfull
 
 import (
@@ -58,11 +61,11 @@ func (a *Auditor) Candidates(q query.Set) []float64 {
 	// random order) keeps the candidate stream deterministic.
 	values := make([]float64, 0, 2*len(q))
 	for _, i := range q {
-		if p, ok := a.syn.MaxPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MaxPredValue(i); ok {
+			values = append(values, v)
 		}
-		if p, ok := a.syn.MinPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MinPredValue(i); ok {
+			values = append(values, v)
 		}
 	}
 	return audit.CandidateAnswers(values, a.syn.EqValues())
@@ -94,18 +97,12 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	}
 	anyConsistent := false
 	for _, cand := range a.Candidates(q.Set) {
-		trial := a.syn.Clone()
-		var err error
-		if q.Kind == query.Max {
-			err = trial.AddMax(q.Set, cand)
-		} else {
-			err = trial.AddMin(q.Set, cand)
-		}
-		if err != nil {
+		consistent, hit := a.syn.Try(q.Kind, q.Set, cand, compromised)
+		if !consistent {
 			continue
 		}
 		anyConsistent = true
-		if compromised(trial) {
+		if hit {
 			return audit.Deny, nil
 		}
 	}

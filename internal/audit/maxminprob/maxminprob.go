@@ -185,11 +185,11 @@ func (a *Auditor) candidates(q query.Set) []float64 {
 	values := make([]float64, 0, 2*len(q)+2)
 	values = append(values, 0, 1)
 	for _, i := range q {
-		if p, ok := a.syn.MaxPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MaxPredValue(i); ok {
+			values = append(values, v)
 		}
-		if p, ok := a.syn.MinPredOf(i); ok {
-			values = append(values, p.Value)
+		if v, ok := a.syn.MinPredValue(i); ok {
+			values = append(values, v)
 		}
 	}
 	all := audit.CandidateAnswers(values, a.syn.EqValues())

@@ -266,7 +266,7 @@ type orderScanner struct {
 	acq   map[*types.Func][]lockAcq
 	anno  map[*types.Func]lockClass
 	edges []orderEdge
-	keys  map[[2]lockClass]bool
+	keys  map[[2]lockClass]int // index into edges
 }
 
 func (s *orderScanner) note(fn *types.Func, held []heldLock, to lockClass, toOp string, pos token.Pos, via *types.Func) {
@@ -274,15 +274,22 @@ func (s *orderScanner) note(fn *types.Func, held []heldLock, to lockClass, toOp 
 		if h.class == to && readOp(h.op) && readOp(toOp) {
 			continue // RLock while RLock-held: shared, not an order fact
 		}
-		key := [2]lockClass{h.class, to}
-		if s.keys[key] {
-			continue
-		}
-		s.keys[key] = true
-		s.edges = append(s.edges, orderEdge{
+		e := orderEdge{
 			from: h.class, to: to, fromOp: h.op, toOp: toOp,
 			pos: pos, fromPos: h.pos, via: via, fn: fn,
-		})
+		}
+		key := [2]lockClass{h.class, to}
+		if k, ok := s.keys[key]; ok {
+			if tryOp(s.edges[k].toOp) && !tryOp(toOp) {
+				// A blocking edge outranks a Try fast path seen first,
+				// as in collectAcquires; keeping the Try edge would hide
+				// the cycle from reportCycles.
+				s.edges[k] = e
+			}
+			continue
+		}
+		s.keys[key] = len(s.edges)
+		s.edges = append(s.edges, e)
 	}
 }
 
@@ -508,7 +515,7 @@ func condTryLock(prog *Program, e ast.Expr) (lockClass, string, bool) {
 func runLockOrder(prog *Program) []Finding {
 	g := prog.Engine()
 	acq, anno := collectAcquires(prog, g)
-	s := &orderScanner{prog: prog, g: g, acq: acq, anno: anno, keys: map[[2]lockClass]bool{}}
+	s := &orderScanner{prog: prog, g: g, acq: acq, anno: anno, keys: map[[2]lockClass]int{}}
 	for _, fn := range g.Funcs() {
 		body := g.Decls[fn].Decl.Body
 		s.scanList(fn, body.List, nil)

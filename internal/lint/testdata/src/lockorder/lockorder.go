@@ -1,7 +1,8 @@
 // Package fixture exercises the lockorder analyzer: a two-class
 // acquisition cycle, a summary-propagated self-deadlock, the TryLock
-// fast-path exemption, and an acquires-annotated helper closing a
-// cycle the syntax alone would miss.
+// fast-path exemption, a blocking edge upgrading an earlier Try edge,
+// and an acquires-annotated helper closing a cycle the syntax alone
+// would miss.
 package fixture
 
 import "sync"
@@ -118,4 +119,45 @@ func LockGThenTouchF(f *F, g *G) {
 // auditlint:acquires(mu)
 func touchF(f *F) {
 	f.n++ // the annotation asserts the lock; lockcheck trusts it too
+}
+
+// H and I cycle through a blocking edge that follows a TryLock edge on
+// the same class pair: TryHI records H.mu → I.mu as a fast path first,
+// and the blocking LockHI must still upgrade it, or the H → I → H cycle
+// with LockIH would be dropped along with the Try edge.
+type H struct {
+	mu sync.Mutex
+	n  int
+}
+
+type I struct {
+	mu sync.Mutex
+	n  int
+}
+
+func TryHI(h *H, i *I) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !i.mu.TryLock() {
+		return false
+	}
+	i.n++
+	i.mu.Unlock()
+	return true
+}
+
+func LockHI(h *H, i *I) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	i.mu.Lock() // want `lock-order cycle \(deadlock risk\).*H\.mu → .*I\.mu → .*H\.mu`
+	i.n++
+	i.mu.Unlock()
+}
+
+func LockIH(h *H, i *I) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	h.mu.Lock()
+	h.n++
+	h.mu.Unlock()
 }

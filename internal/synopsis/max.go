@@ -21,6 +21,17 @@
 // normalization: a max predicate and a min predicate with the same value
 // M must share exactly one element x_j, which is pinned to M and split
 // out of both sets.
+//
+// Folding [f(Q) = a] costs O(|Q|) plus the sizes of the predicates Q
+// touches: members of Q leave each touched predicate in one pass over
+// it, and the combined synopsis re-checks consistency only on the
+// elements the fold re-bounded and the equality predicates holding them
+// (the state before the fold is consistent by invariant). Auditors
+// evaluate candidate answers with MaxMin.Try, a trial fold on the live
+// synopsis: while a trial is open every mutation journals its inverse
+// in an undo log, and the rollback replays the log backwards, so no
+// copy of the synopsis is made. AddMax and AddMin reject an
+// inconsistent answer through the same rollback.
 package synopsis
 
 import (
@@ -98,6 +109,47 @@ type Max struct {
 	singletonEq int
 	// leCount counts OpLe predicates (they exist only after updates).
 	leCount int
+
+	// undo is the open trial's undo log (see beginTrial); nil when no
+	// trial is open. log keeps its buffers between trials.
+	undo *undoLog
+	log  undoLog
+	// groupBuf and groupAt are touch's scratch: the groups, and the
+	// index of each touched predicate's group (emptied after each use).
+	groupBuf []touched
+	groupAt  map[int]int
+}
+
+// undoLog records the inverse of every mutation made since beginTrial.
+// Each location (an elem slot, a predicate's fields and registration, an
+// eqVal key) lives in exactly one journal, so replaying each journal
+// backwards restores the state at beginTrial. Predicate sets are never
+// modified in place, so a journaled set stays valid.
+type undoLog struct {
+	nextID, singletonEq, leCount int
+	elems                        []elemUndo
+	preds                        []predUndo
+	eqs                          []eqUndo
+}
+
+type elemUndo struct{ i, old int }
+
+type predUndo struct {
+	p          *Pred
+	saved      Pred
+	registered bool
+}
+
+type eqUndo struct {
+	v   float64
+	id  int
+	had bool
+}
+
+// touched is one predicate holding members of a set, with their count.
+type touched struct {
+	p   *Pred
+	cnt int
 }
 
 // NewMax returns an empty synopsis over n elements.
@@ -199,14 +251,35 @@ func (m *Max) Preds() []Pred {
 	return out
 }
 
-// PredOf returns the predicate containing element i, if any.
-func (m *Max) PredOf(i int) (Pred, bool) {
+// PredHead is a predicate without its member set: what readers that
+// only need a predicate's identity, bound and size get without copying
+// the set.
+type PredHead struct {
+	ID    int
+	Value float64
+	Op    Op
+	Size  int
+}
+
+// Head returns the head of the predicate containing element i, if any.
+func (m *Max) Head(i int) (PredHead, bool) {
 	id := m.elem[i]
 	if id < 0 {
-		return Pred{}, false
+		return PredHead{}, false
 	}
-	p := m.preds[id]
-	return Pred{ID: p.ID, Set: p.Set.Clone(), Value: p.Value, Op: p.Op}, true
+	return headOf(m.preds[id]), true
+}
+
+// predOf returns the predicate containing element i, or nil.
+func (m *Max) predOf(i int) *Pred {
+	if id := m.elem[i]; id >= 0 {
+		return m.preds[id]
+	}
+	return nil
+}
+
+func headOf(p *Pred) PredHead {
+	return PredHead{ID: p.ID, Value: p.Value, Op: p.Op, Size: len(p.Set)}
 }
 
 // UpperBound returns the upper bound on element i derivable from the
@@ -228,22 +301,100 @@ func (m *Max) canAchieve(i int, a float64) bool {
 	if id < 0 {
 		return true
 	}
-	p := m.preds[id]
-	if p.Op == OpLt {
-		return a < p.Value
+	return reaches(m.preds[id], a)
+}
+
+// beginTrial opens an undo log: every mutation until commitTrial or
+// rollbackTrial is journaled. Trials do not nest.
+func (m *Max) beginTrial() {
+	m.log.nextID, m.log.singletonEq, m.log.leCount = m.nextID, m.singletonEq, m.leCount
+	m.undo = &m.log
+}
+
+// rollbackTrial undoes every mutation since beginTrial.
+func (m *Max) rollbackTrial() {
+	l := m.undo
+	for k := len(l.elems) - 1; k >= 0; k-- {
+		m.elem[l.elems[k].i] = l.elems[k].old
 	}
-	return a <= p.Value
+	for k := len(l.preds) - 1; k >= 0; k-- {
+		u := l.preds[k]
+		*u.p = u.saved
+		if u.registered {
+			m.preds[u.saved.ID] = u.p
+		} else {
+			delete(m.preds, u.saved.ID)
+		}
+	}
+	for k := len(l.eqs) - 1; k >= 0; k-- {
+		if u := l.eqs[k]; u.had {
+			m.eqVal[u.v] = u.id
+		} else {
+			delete(m.eqVal, u.v)
+		}
+	}
+	m.nextID, m.singletonEq, m.leCount = l.nextID, l.singletonEq, l.leCount
+	m.commitTrial()
+}
+
+// commitTrial keeps every mutation since beginTrial and closes the log.
+func (m *Max) commitTrial() {
+	l := m.undo
+	l.elems = l.elems[:0]
+	clear(l.preds) // drop references to retired predicates and sets
+	l.preds = l.preds[:0]
+	l.eqs = l.eqs[:0]
+	m.undo = nil
+}
+
+// The mutation primitives: every change Add, ForceStrictBelow,
+// PinExactly and Update make to elem, preds, a predicate's fields or
+// eqVal goes through one of them, so an open trial can undo it.
+
+func (m *Max) setElem(i, id int) {
+	if m.undo != nil {
+		m.undo.elems = append(m.undo.elems, elemUndo{i, m.elem[i]})
+	}
+	m.elem[i] = id
+}
+
+// savePred journals p's fields and registration before they change.
+func (m *Max) savePred(p *Pred, registered bool) {
+	if m.undo != nil {
+		m.undo.preds = append(m.undo.preds, predUndo{p: p, saved: *p, registered: registered})
+	}
+}
+
+func (m *Max) putEq(v float64, id int) {
+	if m.undo != nil {
+		old, had := m.eqVal[v]
+		m.undo.eqs = append(m.undo.eqs, eqUndo{v, old, had})
+	}
+	m.eqVal[v] = id
+}
+
+// dropEq removes p's eqVal entry if p owns it.
+func (m *Max) dropEq(p *Pred) {
+	id, ok := m.eqVal[p.Value]
+	if !ok || id != p.ID {
+		return
+	}
+	if m.undo != nil {
+		m.undo.eqs = append(m.undo.eqs, eqUndo{p.Value, id, true})
+	}
+	delete(m.eqVal, p.Value)
 }
 
 func (m *Max) newPred(set query.Set, value float64, op Op) *Pred {
 	p := &Pred{ID: m.nextID, Set: set, Value: value, Op: op}
 	m.nextID++
+	m.savePred(p, false)
 	m.preds[p.ID] = p
 	for _, i := range set {
-		m.elem[i] = p.ID
+		m.setElem(i, p.ID)
 	}
 	if op == OpEq {
-		m.eqVal[value] = p.ID
+		m.putEq(value, p.ID)
 		if len(set) == 1 {
 			m.singletonEq++
 		}
@@ -257,65 +408,116 @@ func (m *Max) newPred(set query.Set, value float64, op Op) *Pred {
 func (m *Max) deletePred(p *Pred) {
 	for _, i := range p.Set {
 		if m.elem[i] == p.ID {
-			m.elem[i] = -1
+			m.setElem(i, -1)
 		}
 	}
-	m.forgetEq(p, len(p.Set))
+	m.unregister(p)
+}
+
+// unregister drops p and its bookkeeping.
+func (m *Max) unregister(p *Pred) {
+	m.forgetEq(p)
 	if p.Op == OpLe {
 		m.leCount--
 	}
+	m.savePred(p, true)
 	delete(m.preds, p.ID)
 }
 
-// forgetEq clears equality bookkeeping for p, whose set had the given
-// length while registered.
-func (m *Max) forgetEq(p *Pred, setLen int) {
+// forgetEq clears equality bookkeeping for p.
+func (m *Max) forgetEq(p *Pred) {
 	if p.Op != OpEq {
 		return
 	}
-	if id, ok := m.eqVal[p.Value]; ok && id == p.ID {
-		delete(m.eqVal, p.Value)
-	}
-	if setLen == 1 {
+	m.dropEq(p)
+	if len(p.Set) == 1 {
 		m.singletonEq--
 	}
 }
 
+// touch groups the members of set by the predicate holding them, in
+// order of first touch, and counts the members no predicate holds. The
+// groups live in a scratch buffer valid until the next touch.
+func (m *Max) touch(set query.Set) (groups []touched, free int) {
+	if m.groupAt == nil {
+		m.groupAt = make(map[int]int)
+	}
+	groups = m.groupBuf[:0]
+	last, k := -1, 0
+	for _, i := range set {
+		id := m.elem[i]
+		switch {
+		case id < 0:
+			free++
+			continue
+		case id != last:
+			var ok bool
+			if k, ok = m.groupAt[id]; !ok {
+				k = len(groups)
+				m.groupAt[id] = k
+				groups = append(groups, touched{p: m.preds[id]})
+			}
+			last = id
+		}
+		groups[k].cnt++
+	}
+	for _, g := range groups {
+		delete(m.groupAt, g.p.ID)
+	}
+	m.groupBuf = groups
+	return groups, free
+}
+
+// release shrinks each group's predicate to the members still pointing
+// at it, after the caller re-pointed g.cnt of them elsewhere: one pass
+// over each touched predicate, however many members left it. Detaching
+// a non-witness from an equality predicate is information-preserving
+// because the detached element is known to lie strictly below the
+// predicate's value. A predicate left empty is deleted.
+func (m *Max) release(groups []touched) {
+	for _, g := range groups {
+		p := g.p
+		after := len(p.Set) - g.cnt
+		if after == 0 {
+			m.unregister(p)
+			continue
+		}
+		kept := make(query.Set, 0, after)
+		for _, j := range p.Set {
+			if m.elem[j] == p.ID {
+				kept = append(kept, j)
+			}
+		}
+		if p.Op == OpEq && after == 1 {
+			m.singletonEq++ // p had more members, so it was no singleton
+		}
+		m.savePred(p, true)
+		p.Set = kept
+	}
+}
+
 // detach removes element i from its current predicate (if any),
-// shrinking or deleting the predicate. Detaching a non-witness from an
-// equality predicate is information-preserving because the detached
-// element is known to lie strictly below the predicate's value.
+// shrinking or deleting the predicate.
 func (m *Max) detach(i int) {
 	id := m.elem[i]
 	if id < 0 {
 		return
 	}
-	p := m.preds[id]
-	p.Set = p.Set.Minus(query.Set{i})
-	m.elem[i] = -1
-	if p.Op == OpEq {
-		switch len(p.Set) {
-		case 0:
-			m.singletonEq-- // was a singleton, now gone
-		case 1:
-			m.singletonEq++ // shrank into a singleton
-		}
+	m.setElem(i, -1)
+	m.release([]touched{{p: m.preds[id], cnt: 1}})
+}
+
+// reaches reports whether members of p could take the value a.
+func reaches(p *Pred, a float64) bool {
+	if p.Op == OpLt {
+		return a < p.Value
 	}
-	if len(p.Set) == 0 {
-		if p.Op == OpEq {
-			if id2, ok := m.eqVal[p.Value]; ok && id2 == p.ID {
-				delete(m.eqVal, p.Value)
-			}
-		}
-		if p.Op == OpLe {
-			m.leCount--
-		}
-		delete(m.preds, p.ID)
-	}
+	return a <= p.Value
 }
 
 // Add folds the answered query [max(Q) = a] into the synopsis. On
 // inconsistency the synopsis is unchanged and ErrInconsistent returned.
+// It costs O(|Q|) plus the sizes of the predicates it touches.
 func (m *Max) Add(q query.Set, a float64) error {
 	if len(q) == 0 {
 		return errors.New("synopsis: empty query set")
@@ -328,30 +530,24 @@ func (m *Max) Add(q query.Set, a float64) error {
 
 	// --- Consistency checks (state untouched until they all pass). ---
 
+	groups, free := m.touch(q)
 	// (1) Some element of Q must be able to take the value a.
-	witnessable := false
-	for _, i := range q {
-		if m.canAchieve(i, a) {
-			witnessable = true
-			break
+	witnessable := free > 0
+	for _, g := range groups {
+		// (2) No equality predicate with value > a may be wholly inside
+		// Q: that would force max(Q) above a.
+		if g.p.Op == OpEq && g.p.Value > a && g.cnt == len(g.p.Set) {
+			return ErrInconsistent
 		}
+		witnessable = witnessable || reaches(g.p, a)
 	}
 	if !witnessable {
 		return ErrInconsistent
 	}
-	// (2) No equality predicate with value > a may be wholly inside Q:
-	// that would force max(Q) above a.
-	for _, p := range m.preds {
-		if p.Op == OpEq && p.Value > a && p.Set.Minus(q).Size() == 0 {
-			return ErrInconsistent
-		}
-	}
 	// (3) If an equality predicate already pins the value a, its unique
 	// witness must be available to Q.
-	if id, ok := m.eqVal[a]; ok {
-		if !m.preds[id].Set.Overlaps(q) {
-			return ErrInconsistent
-		}
+	if id, ok := m.eqVal[a]; ok && !m.preds[id].Set.Overlaps(q) {
+		return ErrInconsistent
 	}
 
 	// --- Fold the new fact in. ---
@@ -386,42 +582,46 @@ func (m *Max) Add(q query.Set, a float64) error {
 			nonWitnesses = append(nonWitnesses, i)
 		}
 	}
-	for _, i := range witnesses {
-		m.detach(i)
-	}
 	m.newPred(witnesses, a, OpEq)
+	// Whether an element can achieve a depends only on its predicate, so
+	// the witnesses left exactly the touched predicates that reach a.
+	vacated := groups[:0]
+	for _, g := range groups {
+		if reaches(g.p, a) {
+			vacated = append(vacated, g)
+		}
+	}
+	m.release(vacated)
 	m.tightenBelow(nonWitnesses, a)
 	return nil
 }
 
 // tightenBelow records x_i < a for each element of set whose current
 // bound does not already imply it, regrouping them into a fresh strict
-// predicate [max(moved) < a].
+// predicate [max(moved) < a]. A moved element cannot be the witness of
+// its old equality group (it is strictly below a ≤ the group's value),
+// so detaching it is information-preserving.
 func (m *Max) tightenBelow(set query.Set, a float64) {
 	var moved query.Set
 	for _, i := range set {
-		id := m.elem[i]
-		if id < 0 {
-			moved = append(moved, i)
-			continue
-		}
-		p := m.preds[id]
-		switch {
-		case (p.Op == OpEq || p.Op == OpLe) && p.Value < a:
-			// Already below a (x_i ≤ p.Value < a); keep grouping.
-		case p.Op == OpLt && p.Value <= a:
-			// Already strictly below a.
-		default:
-			// Bound is looser than a; the element cannot be the witness
-			// of its old equality group (it is strictly below a ≤ its
-			// old bound), so detaching is information-preserving.
-			m.detach(i)
+		if id := m.elem[i]; id < 0 || !impliesBelow(m.preds[id], a) {
 			moved = append(moved, i)
 		}
 	}
-	if len(moved) > 0 {
-		m.newPred(moved, a, OpLt)
+	if len(moved) == 0 {
+		return
 	}
+	groups, _ := m.touch(moved)
+	m.newPred(moved, a, OpLt)
+	m.release(groups)
+}
+
+// impliesBelow reports whether membership in p already implies x < a.
+func impliesBelow(p *Pred, a float64) bool {
+	if p.Op == OpLt {
+		return p.Value <= a
+	}
+	return p.Value < a
 }
 
 // ForceStrictBelow publicly records the fact x_i < a for every element of
@@ -464,14 +664,23 @@ func (m *Max) EqValues() map[float64]bool {
 	return out
 }
 
-// EqPredWithValue returns the equality predicate holding value a, if any.
-func (m *Max) EqPredWithValue(a float64) (Pred, bool) {
+// EqHead returns the head of the equality predicate holding value a, if
+// any.
+func (m *Max) EqHead(a float64) (PredHead, bool) {
+	p := m.eqPred(a)
+	if p == nil {
+		return PredHead{}, false
+	}
+	return headOf(p), true
+}
+
+// eqPred returns the equality predicate holding value a, or nil.
+func (m *Max) eqPred(a float64) *Pred {
 	id, ok := m.eqVal[a]
 	if !ok {
-		return Pred{}, false
+		return nil
 	}
-	p := m.preds[id]
-	return Pred{ID: p.ID, Set: p.Set.Clone(), Value: p.Value, Op: p.Op}, true
+	return m.preds[id]
 }
 
 // Update reacts to a modification of record i's sensitive value: every
@@ -492,7 +701,8 @@ func (m *Max) Update(i int) {
 	}
 	if p2, ok := m.preds[id]; ok {
 		// Demote the surviving equality predicate: max(S\{i}) ≤ M.
-		m.forgetEq(p2, len(p2.Set))
+		m.forgetEq(p2)
+		m.savePred(p2, true)
 		p2.Op = OpLe
 		m.leCount++
 	}
@@ -551,7 +761,7 @@ func RestoreMax(s Snapshot) (*Max, error) {
 			}
 		}
 		p := m.newPred(set, ps.Value, Op(ps.Op))
-		// Preserve original IDs so EqPredWithValue references stay stable.
+		// Preserve original IDs so predicate references stay stable.
 		delete(m.preds, p.ID)
 		p.ID = ps.ID
 		m.preds[ps.ID] = p

@@ -93,11 +93,11 @@ func TestLowerAnswerRefines(t *testing.T) {
 		t.Fatalf("add: %v", err)
 	}
 	// Now x2 must be the 9-witness: [max{2}=9], and [max{0,1}=4].
-	p2, ok := m.PredOf(2)
+	p2, ok := predAt(m, 2)
 	if !ok || !p2.Eq() || p2.Value != 9 || len(p2.Set) != 1 {
 		t.Errorf("element 2 predicate = %v, want singleton [max{2}=9]", p2)
 	}
-	p0, _ := m.PredOf(0)
+	p0, _ := predAt(m, 0)
 	if !p0.Eq() || p0.Value != 4 || !p0.Set.Equal(query.NewSet(0, 1)) {
 		t.Errorf("element 0 predicate = %v, want [max{0,1}=4]", p0)
 	}
@@ -246,4 +246,12 @@ func TestCloneIndependence(t *testing.T) {
 	if len(c.Preds()) != 2 {
 		t.Errorf("clone missing update: %v", c)
 	}
+}
+
+// predAt returns the predicate containing element i, if any.
+func predAt(m *Max, i int) (Pred, bool) {
+	if p := m.predOf(i); p != nil {
+		return *p, true
+	}
+	return Pred{}, false
 }

@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"fmt"
 	"math"
 
 	"queryaudit/internal/query"
@@ -89,38 +90,78 @@ func (b *MaxMin) MinPreds() []Pred { return b.min.Preds() }
 
 // AddMax folds [max(Q) = a] into the synopsis, applying normalization.
 // On inconsistency the synopsis is unchanged.
-func (b *MaxMin) AddMax(q query.Set, a float64) error {
-	snapMax, snapMin := b.max.Clone(), b.min.Clone()
-	if err := b.max.Add(q, a); err != nil {
-		return err
-	}
-	if err := b.normalizeAndCheck(a); err != nil {
-		b.max, b.min = snapMax, snapMin
-		return err
-	}
-	return nil
-}
+func (b *MaxMin) AddMax(q query.Set, a float64) error { return b.add(query.Max, q, a) }
 
 // AddMin folds [min(Q) = a] into the synopsis, applying normalization.
-func (b *MaxMin) AddMin(q query.Set, a float64) error {
-	snapMax, snapMin := b.max.Clone(), b.min.Clone()
-	if err := b.min.Add(q, a); err != nil {
+// On inconsistency the synopsis is unchanged.
+func (b *MaxMin) AddMin(q query.Set, a float64) error { return b.add(query.Min, q, a) }
+
+func (b *MaxMin) add(kind query.Kind, q query.Set, a float64) error {
+	b.beginTrial()
+	err := b.fold(kind, q, a)
+	if err != nil {
+		b.rollbackTrial()
+	} else {
+		b.commitTrial()
+	}
+	return err
+}
+
+// Try folds the candidate answer a to the query (kind, Q) in place,
+// reports whether the result is consistent and, if it is, probe's
+// verdict on the folded synopsis, then rolls the synopsis back to its
+// exact prior state through the undo log — no copy of the synopsis is
+// made. probe must not modify the synopsis. A fold costs O(|Q|) plus the
+// sizes of the predicates it touches; the rollback costs what the fold
+// changed.
+func (b *MaxMin) Try(kind query.Kind, q query.Set, a float64, probe func(*MaxMin) bool) (consistent, hit bool) {
+	b.beginTrial()
+	defer b.rollbackTrial()
+	if b.fold(kind, q, a) != nil {
+		return false, false
+	}
+	return true, probe(b)
+}
+
+func (b *MaxMin) beginTrial() {
+	b.max.beginTrial()
+	b.min.inner.beginTrial()
+}
+
+func (b *MaxMin) rollbackTrial() {
+	b.max.rollbackTrial()
+	b.min.inner.rollbackTrial()
+}
+
+func (b *MaxMin) commitTrial() {
+	b.max.commitTrial()
+	b.min.inner.commitTrial()
+}
+
+// fold applies [kind(Q) = a] inside an open trial; on error the caller
+// rolls back.
+func (b *MaxMin) fold(kind query.Kind, q query.Set, a float64) error {
+	var err error
+	switch kind {
+	case query.Max:
+		err = b.max.Add(q, a)
+	case query.Min:
+		err = b.min.Add(q, a)
+	default:
+		err = fmt.Errorf("synopsis: unsupported kind %v", kind)
+	}
+	if err != nil {
 		return err
 	}
-	if err := b.normalizeAndCheck(a); err != nil {
-		b.max, b.min = snapMax, snapMin
-		return err
-	}
-	return nil
+	return b.normalizeAndCheck(a)
 }
 
 // normalizeAndCheck applies the shared-value split for value a (the only
-// value a fresh Add can newly collide on) and re-verifies global
-// consistency of element ranges and witness feasibility.
+// value a fresh Add can newly collide on) and re-verifies consistency
+// where the fold changed something.
 func (b *MaxMin) normalizeAndCheck(a float64) error {
-	maxP, okMax := b.max.EqPredWithValue(a)
-	minP, okMin := b.min.EqPredWithValue(a)
-	if okMax && okMin && !(len(maxP.Set) == 1 && maxP.Set.Equal(minP.Set)) {
+	maxP, minP := b.max.eqPred(a), b.min.inner.eqPred(-a)
+	if maxP != nil && minP != nil && !(len(maxP.Set) == 1 && maxP.Set.Equal(minP.Set)) {
 		inter := maxP.Set.Intersect(minP.Set)
 		if len(inter) != 1 {
 			// Zero common elements would require two distinct elements
@@ -135,37 +176,68 @@ func (b *MaxMin) normalizeAndCheck(a float64) error {
 		b.max.ForceStrictBelow(maxP.Set.Minus(query.Set{j}), a)
 		b.min.ForceStrictAbove(minP.Set.Minus(query.Set{j}), a)
 	}
-	return b.checkConsistent()
+	return b.checkTouched()
 }
 
-// checkConsistent verifies that every element's range is non-empty and
-// every equality predicate retains a feasible witness.
+// checkTouched verifies the open trial's fold, given that the state at
+// beginTrial was consistent (an invariant every committed fold keeps).
+// Only an element whose predicate changed on either side can have an
+// empty range, and only an equality predicate holding such an element
+// can have lost its feasible witness: a predicate that merely lost
+// members keeps members with unchanged, non-empty ranges, and a member
+// of an equality predicate with a non-empty range can take its value.
+// Ranges are checked first, so each witness scan stops at the first
+// member unless the predicate's value lies outside [alpha, beta].
+func (b *MaxMin) checkTouched() error {
+	sides := [2][]elemUndo{b.max.undo.elems, b.min.inner.undo.elems}
+	for _, us := range sides {
+		for _, u := range us {
+			if b.RangeOf(u.i).Empty() {
+				return ErrInconsistent
+			}
+		}
+	}
+	for _, us := range sides {
+		for _, u := range us {
+			if p := b.max.predOf(u.i); p != nil && p.Op == OpEq && !b.witnessed(p.Set, p.Value) {
+				return ErrInconsistent
+			}
+			if p := b.min.inner.predOf(u.i); p != nil && p.Op == OpEq && !b.witnessed(p.Set, -p.Value) {
+				return ErrInconsistent
+			}
+		}
+	}
+	return nil
+}
+
+// checkConsistent is the full O(n + Σ|S|) sweep: every element's range
+// is non-empty and every equality predicate retains a feasible witness.
+// The fold path checks only what it touched (checkTouched);
+// CheckInvariants runs this sweep.
 func (b *MaxMin) checkConsistent() error {
-	n := b.N()
-	for i := 0; i < n; i++ {
+	for i := 0; i < b.N(); i++ {
 		if b.RangeOf(i).Empty() {
 			return ErrInconsistent
 		}
 	}
-	for _, p := range b.max.Preds() {
-		if p.Eq() && !b.hasFeasibleWitness(p) {
+	for _, p := range b.max.preds {
+		if p.Op == OpEq && !b.witnessed(p.Set, p.Value) {
 			return ErrInconsistent
 		}
 	}
-	for _, p := range b.min.Preds() {
-		if p.Eq() && !b.hasFeasibleWitness(p) {
+	for _, p := range b.min.inner.preds {
+		if p.Op == OpEq && !b.witnessed(p.Set, -p.Value) {
 			return ErrInconsistent
 		}
 	}
 	return nil
 }
 
-// hasFeasibleWitness reports whether some element of the equality
-// predicate p can actually take the value p.Value given the combined
-// bounds from both synopsis sides.
-func (b *MaxMin) hasFeasibleWitness(p Pred) bool {
-	for _, i := range p.Set {
-		if b.RangeOf(i).Contains(p.Value) {
+// witnessed reports whether some element of set can take the value v
+// given the combined bounds from both synopsis sides.
+func (b *MaxMin) witnessed(set query.Set, v float64) bool {
+	for _, i := range set {
+		if b.RangeOf(i).Contains(v) {
 			return true
 		}
 	}
@@ -196,11 +268,19 @@ func (b *MaxMin) EqValues() map[float64]bool {
 	return out
 }
 
-// MaxPredOf returns the max-side predicate containing i, if any.
-func (b *MaxMin) MaxPredOf(i int) (Pred, bool) { return b.max.PredOf(i) }
+// MaxPredValue returns the value of the max-side predicate containing i,
+// if any, without copying the predicate.
+func (b *MaxMin) MaxPredValue(i int) (float64, bool) {
+	h, ok := b.max.Head(i)
+	return h.Value, ok
+}
 
-// MinPredOf returns the min-side predicate containing i, if any.
-func (b *MaxMin) MinPredOf(i int) (Pred, bool) { return b.min.PredOf(i) }
+// MinPredValue returns the value of the min-side predicate containing i
+// (min orientation), if any, without copying the predicate.
+func (b *MaxMin) MinPredValue(i int) (float64, bool) {
+	h, ok := b.min.Head(i)
+	return h.Value, ok
+}
 
 // SingletonEqCount returns the total number of one-element equality
 // predicates on both sides. A pinned element contributes two (one per
@@ -225,9 +305,11 @@ func (b *MaxMin) Update(i int) {
 	b.min.Update(i)
 }
 
-// CheckInvariants validates both sides plus the combined normal form: no
+// CheckInvariants validates both sides, the combined normal form — no
 // max equality value may coincide with a min equality value except as a
-// pinned singleton shared by both.
+// pinned singleton shared by both — and consistency: every element's
+// range is non-empty and every equality predicate has a feasible
+// witness.
 func (b *MaxMin) CheckInvariants() error {
 	if err := b.max.CheckInvariants(); err != nil {
 		return err
@@ -235,17 +317,17 @@ func (b *MaxMin) CheckInvariants() error {
 	if err := b.min.CheckInvariants(); err != nil {
 		return err
 	}
-	for _, p := range b.max.Preds() {
-		if !p.Eq() {
+	for _, p := range b.max.preds {
+		if p.Op != OpEq {
 			continue
 		}
-		if mp, ok := b.min.EqPredWithValue(p.Value); ok {
+		if mp := b.min.inner.eqPred(-p.Value); mp != nil {
 			if !(len(p.Set) == 1 && p.Set.Equal(mp.Set)) {
 				return errNotNormalized(p.Value)
 			}
 		}
 	}
-	return nil
+	return b.checkConsistent()
 }
 
 type errNotNormalized float64

@@ -2,6 +2,7 @@ package synopsis
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"queryaudit/internal/query"
@@ -93,6 +94,26 @@ func TestSharedValueWideIntersectionInconsistent(t *testing.T) {
 	}
 	if err := b.AddMin(query.NewSet(0, 1, 2), 5); err != ErrInconsistent {
 		t.Fatalf("got %v, want ErrInconsistent", err)
+	}
+}
+
+// TestAnswerOutsideDataRangeInconsistent: an extreme answer beyond the
+// ambient data range has no feasible witness, although every element's
+// range stays non-empty; the synopsis is left unchanged.
+func TestAnswerOutsideDataRangeInconsistent(t *testing.T) {
+	b := NewMaxMin(5, 0, 10)
+	if err := b.AddMax(query.NewSet(0, 1, 2), 7); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Snapshot()
+	if err := b.AddMax(query.NewSet(2, 3, 4), 11); err != ErrInconsistent {
+		t.Fatalf("max above beta: got %v, want ErrInconsistent", err)
+	}
+	if err := b.AddMin(query.NewSet(2, 3, 4), -1); err != ErrInconsistent {
+		t.Fatalf("min below alpha: got %v, want ErrInconsistent", err)
+	}
+	if !reflect.DeepEqual(b.Snapshot(), before) {
+		t.Fatalf("rejected folds changed the synopsis: %+v, want %+v", b.Snapshot(), before)
 	}
 }
 

@@ -36,13 +36,14 @@ func (m *Min) Preds() []Pred {
 	return ps
 }
 
-// PredOf returns the predicate containing element i, in min orientation.
-func (m *Min) PredOf(i int) (Pred, bool) {
-	p, ok := m.inner.PredOf(i)
+// Head returns the head of the predicate containing element i, in min
+// orientation.
+func (m *Min) Head(i int) (PredHead, bool) {
+	h, ok := m.inner.Head(i)
 	if ok {
-		p.Value = -p.Value
+		h.Value = -h.Value
 	}
-	return p, ok
+	return h, ok
 }
 
 // LowerBound returns the lower bound on element i: x_i ≥ v
@@ -61,15 +62,6 @@ func (m *Min) EqValues() map[float64]bool {
 		out[-v] = true
 	}
 	return out
-}
-
-// EqPredWithValue returns the equality predicate pinning min value a.
-func (m *Min) EqPredWithValue(a float64) (Pred, bool) {
-	p, ok := m.inner.EqPredWithValue(-a)
-	if ok {
-		p.Value = -p.Value
-	}
-	return p, ok
 }
 
 // ForceStrictAbove records x_i > a for every element of set.
