@@ -9,6 +9,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"queryaudit/internal/audit"
@@ -23,6 +24,7 @@ import (
 	"queryaudit/internal/coloring"
 	"queryaudit/internal/core"
 	"queryaudit/internal/experiments"
+	"queryaudit/internal/field"
 	"queryaudit/internal/persist"
 	"queryaudit/internal/query"
 	"queryaudit/internal/randx"
@@ -295,6 +297,58 @@ func BenchmarkSumAuditorDecide(b *testing.B) {
 		if _, err := a.Decide(qs[i%len(qs)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sumRangesAuditor warms a sum auditor into the ranges-updates serving
+// shape (paper Fig. 2, plots 2–3): n=10000, contiguous 50–100-wide sums
+// answered until the rank reaches 1000, and a NoteUpdate on a random
+// record every 10th query. It returns the auditor, its rng and a pool of
+// 64 further range queries.
+func sumRangesAuditor() (*sumfull.Auditor[field.Elem61, field.GF61], *rand.Rand, []query.Query) {
+	const n = 10000
+	rng := randx.New(13)
+	next := func() query.Query {
+		return query.New(query.Sum, randx.Range(rng, n, 50+rng.Intn(51))...)
+	}
+	a := sumfull.New(n)
+	for t := 1; a.Rank() < 1000; t++ {
+		if t%10 == 0 {
+			a.NoteUpdate(rng.Intn(n))
+		}
+		q := next()
+		if d, _ := a.Decide(q); d == audit.Answer {
+			a.Record(q, 0)
+		}
+	}
+	qs := make([]query.Query, 64)
+	for i := range qs {
+		qs[i] = next()
+	}
+	return a, rng, qs
+}
+
+// BenchmarkSumFullRangesDecide measures one sum decision at serving
+// scale: a contiguous-range query against the rank-1000 ranges-updates
+// history of sumRangesAuditor.
+func BenchmarkSumFullRangesDecide(b *testing.B) {
+	a, _, qs := sumRangesAuditor()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Decide(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSumFullNoteUpdate measures one record update (a fresh version
+// column) against the rank-1000 ranges-updates history of
+// sumRangesAuditor.
+func BenchmarkSumFullNoteUpdate(b *testing.B) {
+	a, rng, _ := sumRangesAuditor()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.NoteUpdate(rng.Intn(a.N()))
 	}
 }
 

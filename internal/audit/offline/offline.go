@@ -84,6 +84,11 @@ func AuditSum(n int, history []query.Answered) (SumResult, error) {
 		if h.Query.Kind != query.Sum {
 			return SumResult{}, fmt.Errorf("offline: %w: %v", errUnsupported, h.Query.Kind)
 		}
+		for _, i := range h.Query.Set {
+			if i < 0 || i >= n {
+				return SumResult{}, fmt.Errorf("offline: sum index %d out of range 0..%d", i, n-1)
+			}
+		}
 		ech.Add(linalg.VectorFromSupport[field.Elem61](f, n, h.Query.Set))
 	}
 	cols := ech.ElementaryColumns()

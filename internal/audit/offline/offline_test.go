@@ -71,6 +71,33 @@ func TestAuditSum(t *testing.T) {
 	}
 }
 
+// TestAuditSumRejectsBadIndex: an index outside 0..n−1 is an error, not
+// a panic, and a valid history still audits as before.
+func TestAuditSumRejectsBadIndex(t *testing.T) {
+	cycle := []query.Answered{
+		{Query: query.New(query.Sum, 0, 1), Answer: 3},
+		{Query: query.New(query.Sum, 1, 2), Answer: 6},
+		{Query: query.New(query.Sum, 0, 2), Answer: 5},
+	}
+	for _, tc := range []struct {
+		name    string
+		hist    []query.Answered
+		wantErr bool
+	}{
+		{"negative", []query.Answered{{Query: query.New(query.Sum, -1, 1)}}, true},
+		{"equal to n", append(cycle[:2:2], query.Answered{Query: query.New(query.Sum, 1, 3)}), true},
+		{"valid", cycle, false},
+	} {
+		r, err := AuditSum(3, tc.hist)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if !tc.wantErr && (!r.Compromised || r.Rank != 3 || len(r.DeterminedIndices) != 3) {
+			t.Fatalf("%s: got %+v, want rank 3 with every index determined", tc.name, r)
+		}
+	}
+}
+
 // TestAuditSumRandomNeverFalsePositive: histories kept safe by the
 // online auditor are classified safe offline too (the two share the
 // compromise criterion).

@@ -9,41 +9,60 @@
 // is, some row has exactly one nonzero entry. Compromise detection is
 // therefore a scan for singleton rows.
 //
+// Basis rows are sparse: each stores only its nonzero entries, so memory
+// is proportional to the total support of the basis, not rank × columns,
+// and opening a column for an updated record is O(1). Vectors passed in
+// and residuals handed back stay dense.
+//
 // The package is generic over internal/field so that the same code runs
 // on the fast GF(2^61−1) field and on exact rationals.
 package linalg
 
 import (
 	"fmt"
+	"slices"
 
 	"queryaudit/internal/field"
 )
+
+// sparseRow is a basis row: strictly increasing column indices and their
+// nonzero values. idx[0] is the row's pivot column and val[0] is 1.
+type sparseRow[E any] struct {
+	idx []int
+	val []E
+}
+
+// at returns the row's entry in column c, if it has one.
+func (r sparseRow[E]) at(c int) (E, bool) {
+	k, ok := slices.BinarySearch(r.idx, c)
+	if !ok {
+		var z E
+		return z, false
+	}
+	return r.val[k], true
+}
 
 // Echelon maintains a growing row space in reduced row-echelon form.
 // Rows are added one at a time; dependent rows are discarded. Columns may
 // be appended to model database updates (each modification of a record
 // opens a fresh column for its new version).
+//
+// Costs, with s the support of a row and r the rank: AppendColumns is
+// O(1); Reduce is O(ncols + r + Σ s over the rows it applies); Add also
+// merges the new row into each row with an entry in its pivot column;
+// WouldCreateElementary does the same merges but stops each one at two
+// nonzeros. Memory is O(Σ s).
 type Echelon[E any, F field.Field[E]] struct {
 	f     F
 	ncols int
-	// rows[i] is a dense row of length ncols. Invariants:
-	//   - rows[i][pivot[i]] == 1 and it is the first nonzero of rows[i];
-	//   - every other row has a zero in column pivot[i];
-	//   - pivot columns are strictly increasing in row order.
-	rows  [][]E
-	pivot []int
-	// rowOfPivot maps a pivot column to its row index, or -1.
-	rowOfPivot []int
+	// Invariants: every other row has no entry in column rows[i].idx[0],
+	// and pivot columns are strictly increasing in row order.
+	rows []sparseRow[E]
 }
 
 // NewEchelon returns an empty row space over ncols columns.
 func NewEchelon[E any, F field.Field[E]](f F, ncols int) *Echelon[E, F] {
-	e := &Echelon[E, F]{f: f, ncols: ncols}
-	e.rowOfPivot = make([]int, ncols)
-	for i := range e.rowOfPivot {
-		e.rowOfPivot[i] = -1
-	}
-	return e
+	return &Echelon[E, F]{f: f, ncols: ncols}
 }
 
 // Rank returns the current dimension of the row space.
@@ -53,24 +72,12 @@ func (e *Echelon[E, F]) Rank() int { return len(e.rows) }
 func (e *Echelon[E, F]) NumCols() int { return e.ncols }
 
 // AppendColumns widens the matrix by k zero columns (used when a database
-// update introduces new value versions).
+// update introduces new value versions). Rows list no entry there, so
+// they are left untouched.
 func (e *Echelon[E, F]) AppendColumns(k int) {
-	if k <= 0 {
-		return
+	if k > 0 {
+		e.ncols += k
 	}
-	z := e.f.Zero()
-	for i, row := range e.rows {
-		wide := make([]E, e.ncols+k)
-		copy(wide, row)
-		for c := e.ncols; c < e.ncols+k; c++ {
-			wide[c] = z
-		}
-		e.rows[i] = wide
-	}
-	for c := 0; c < k; c++ {
-		e.rowOfPivot = append(e.rowOfPivot, -1)
-	}
-	e.ncols += k
 }
 
 // VectorFromSupport builds the 0/1 vector of length ncols with ones at
@@ -97,18 +104,14 @@ func (e *Echelon[E, F]) Reduce(v []E) []E {
 	if len(v) != e.ncols {
 		panic(fmt.Sprintf("linalg: vector length %d, want %d", len(v), e.ncols))
 	}
-	r := make([]E, e.ncols)
-	copy(r, v)
-	for i, row := range e.rows {
-		p := e.pivot[i]
-		if e.f.IsZero(r[p]) {
+	r := slices.Clone(v)
+	for _, row := range e.rows {
+		c := r[row.idx[0]] // the pivot entry is 1, so the multiplier is c itself
+		if e.f.IsZero(c) {
 			continue
 		}
-		c := r[p] // row's pivot entry is 1, so the multiplier is r[p] itself
-		for j := p; j < e.ncols; j++ {
-			if !e.f.IsZero(row[j]) {
-				r[j] = e.f.Sub(r[j], e.f.Mul(c, row[j]))
-			}
+		for k, j := range row.idx {
+			r[j] = e.f.Sub(r[j], e.f.Mul(c, row.val[k]))
 		}
 	}
 	return r
@@ -129,94 +132,82 @@ func (e *Echelon[E, F]) InSpan(v []E) bool {
 	return e.IsZeroVector(e.Reduce(v))
 }
 
-// normalize scales r so its leading nonzero (at column p) becomes 1.
-func (e *Echelon[E, F]) normalize(r []E, p int) {
-	inv := e.f.Inv(r[p])
-	for j := p; j < e.ncols; j++ {
-		if !e.f.IsZero(r[j]) {
-			r[j] = e.f.Mul(r[j], inv)
+// residual reduces v and returns the result as a sparse row scaled so its
+// leading entry is 1, or false when v is already in the span.
+func (e *Echelon[E, F]) residual(v []E) (sparseRow[E], bool) {
+	var nr sparseRow[E]
+	for j, x := range e.Reduce(v) {
+		if !e.f.IsZero(x) {
+			nr.idx = append(nr.idx, j)
+			nr.val = append(nr.val, x)
 		}
 	}
+	if len(nr.idx) == 0 {
+		return nr, false
+	}
+	inv := e.f.Inv(nr.val[0])
+	for k := range nr.val {
+		nr.val[k] = e.f.Mul(nr.val[k], inv)
+	}
+	return nr, true
 }
 
-// leading returns the index of the first nonzero entry of r, or -1.
-func (e *Echelon[E, F]) leading(r []E) int {
-	for j, x := range r {
+// sub returns a − c·b as a sparse row, dropping entries that cancel,
+// built in dst's storage. It stops once the result holds limit entries
+// (limit ≤ 0: no limit).
+func (e *Echelon[E, F]) sub(dst, a sparseRow[E], c E, b sparseRow[E], limit int) sparseRow[E] {
+	out := sparseRow[E]{idx: dst.idx[:0], val: dst.val[:0]}
+	ia, ib := 0, 0
+	for (ia < len(a.idx) || ib < len(b.idx)) && (limit <= 0 || len(out.idx) < limit) {
+		var j int
+		var x E
+		switch {
+		case ib == len(b.idx) || (ia < len(a.idx) && a.idx[ia] < b.idx[ib]):
+			j, x = a.idx[ia], a.val[ia]
+			ia++
+		case ia == len(a.idx) || b.idx[ib] < a.idx[ia]:
+			j, x = b.idx[ib], e.f.Neg(e.f.Mul(c, b.val[ib]))
+			ib++
+		default:
+			j, x = a.idx[ia], e.f.Sub(a.val[ia], e.f.Mul(c, b.val[ib]))
+			ia++
+			ib++
+		}
 		if !e.f.IsZero(x) {
-			return j
+			out.idx = append(out.idx, j)
+			out.val = append(out.val, x)
 		}
 	}
-	return -1
+	return out
 }
 
 // Add inserts v into the row space, returning true if the rank grew
 // (false means v was already in the span). RREF is restored before
 // returning.
 func (e *Echelon[E, F]) Add(v []E) bool {
-	r := e.Reduce(v)
-	p := e.leading(r)
-	if p < 0 {
+	nr, ok := e.residual(v)
+	if !ok {
 		return false
 	}
-	e.addReduced(r, p)
-	return true
-}
-
-// addReduced commits an already-reduced residual r with leading column p.
-func (e *Echelon[E, F]) addReduced(r []E, p int) {
-	e.normalize(r, p)
+	p := nr.idx[0]
 	// Eliminate column p from all existing rows (zeros above the pivot).
-	for _, row := range e.rows {
-		if e.f.IsZero(row[p]) {
-			continue
-		}
-		c := row[p]
-		for j := p; j < e.ncols; j++ {
-			if !e.f.IsZero(r[j]) {
-				row[j] = e.f.Sub(row[j], e.f.Mul(c, r[j]))
-			}
+	for i, r := range e.rows {
+		if c, ok := r.at(p); ok {
+			e.rows[i] = e.sub(sparseRow[E]{}, r, c, nr, 0)
 		}
 	}
-	// Insert keeping pivot columns sorted.
-	at := len(e.rows)
-	for i, pc := range e.pivot {
-		if pc > p {
-			at = i
-			break
-		}
-	}
-	e.rows = append(e.rows, nil)
-	copy(e.rows[at+1:], e.rows[at:])
-	e.rows[at] = r
-	e.pivot = append(e.pivot, 0)
-	copy(e.pivot[at+1:], e.pivot[at:])
-	e.pivot[at] = p
-	for c := range e.rowOfPivot {
-		if e.rowOfPivot[c] >= at && c != p {
-			e.rowOfPivot[c]++
-		}
-	}
-	e.rowOfPivot[p] = at
-}
-
-// supportSize returns the number of nonzero entries of row.
-func (e *Echelon[E, F]) supportSize(row []E) int {
-	n := 0
-	for _, x := range row {
-		if !e.f.IsZero(x) {
-			n++
-		}
-	}
-	return n
+	at, _ := slices.BinarySearchFunc(e.rows, p, func(r sparseRow[E], p int) int { return r.idx[0] - p })
+	e.rows = slices.Insert(e.rows, at, nr)
+	return true
 }
 
 // ElementaryInSpan returns the column index of some elementary vector in
 // the row space, or (-1, false) if none exists. Requires RREF, where an
 // elementary vector is in the span iff some basis row is a singleton.
 func (e *Echelon[E, F]) ElementaryInSpan() (int, bool) {
-	for i, row := range e.rows {
-		if e.supportSize(row) == 1 {
-			return e.pivot[i], true
+	for _, r := range e.rows {
+		if len(r.idx) == 1 {
+			return r.idx[0], true
 		}
 	}
 	return -1, false
@@ -226,9 +217,9 @@ func (e *Echelon[E, F]) ElementaryInSpan() (int, bool) {
 // lie in the row space.
 func (e *Echelon[E, F]) ElementaryColumns() []int {
 	var cols []int
-	for i, row := range e.rows {
-		if e.supportSize(row) == 1 {
-			cols = append(cols, e.pivot[i])
+	for _, r := range e.rows {
+		if len(r.idx) == 1 {
+			cols = append(cols, r.idx[0])
 		}
 	}
 	return cols
@@ -240,88 +231,76 @@ func (e *Echelon[E, F]) ElementaryColumns() []int {
 // If v is already in the span it reports false: answering a dependent
 // query adds no information.
 func (e *Echelon[E, F]) WouldCreateElementary(v []E) bool {
-	r := e.Reduce(v)
-	p := e.leading(r)
-	if p < 0 {
+	nr, ok := e.residual(v)
+	if !ok {
 		return false
 	}
-	// Hypothetical new row: r normalized.
-	inv := e.f.Inv(r[p])
-	// Singleton new row?
-	if e.supportSize(r) == 1 {
+	if len(nr.idx) == 1 {
 		return true
 	}
-	// Existing rows with a nonzero in column p lose that entry; check
-	// whether any becomes a singleton.
-	for _, row := range e.rows {
-		if e.f.IsZero(row[p]) {
-			continue
-		}
-		c := e.f.Mul(row[p], inv)
-		nz := 0
-		for j := 0; j < e.ncols; j++ {
-			var val E
-			if j >= p {
-				val = e.f.Sub(row[j], e.f.Mul(c, r[j]))
-			} else {
-				val = row[j]
+	// Existing rows with an entry in column p lose it; check whether any
+	// becomes a singleton.
+	p := nr.idx[0]
+	var buf sparseRow[E]
+	for _, r := range e.rows {
+		if c, ok := r.at(p); ok {
+			if buf = e.sub(buf, r, c, nr, 2); len(buf.idx) == 1 {
+				return true
 			}
-			if !e.f.IsZero(val) {
-				nz++
-				if nz > 1 {
-					break
-				}
-			}
-		}
-		if nz == 1 {
-			return true
 		}
 	}
 	return false
 }
 
-// Rows returns a deep copy of the current basis rows (for inspection and
-// tests; the auditor itself never needs it).
+// Rows returns a deep copy of the current basis rows as dense vectors of
+// length NumCols (for snapshots, inspection and tests).
 func (e *Echelon[E, F]) Rows() [][]E {
 	out := make([][]E, len(e.rows))
-	for i, row := range e.rows {
-		out[i] = append([]E(nil), row...)
+	for i, r := range e.rows {
+		dense := VectorFromSupport[E](e.f, e.ncols, nil)
+		for k, j := range r.idx {
+			dense[j] = r.val[k]
+		}
+		out[i] = dense
 	}
 	return out
 }
 
 // Pivots returns a copy of the pivot columns in row order.
 func (e *Echelon[E, F]) Pivots() []int {
-	return append([]int(nil), e.pivot...)
+	out := make([]int, len(e.rows))
+	for i, r := range e.rows {
+		out[i] = r.idx[0]
+	}
+	return out
 }
 
 // CheckInvariants verifies the RREF invariants, returning a descriptive
-// error when one is violated. It is used by property tests.
+// error when one is violated. Property tests and sumfull.Restore use it.
 func (e *Echelon[E, F]) CheckInvariants() error {
-	one := e.f.One()
-	for i, row := range e.rows {
-		p := e.pivot[i]
-		if l := e.leading(row); l != p {
-			return fmt.Errorf("row %d: leading column %d, recorded pivot %d", i, l, p)
+	for i, r := range e.rows {
+		if len(r.idx) == 0 || len(r.idx) != len(r.val) {
+			return fmt.Errorf("row %d: %d indices, %d values", i, len(r.idx), len(r.val))
 		}
-		if !e.f.Equal(row[p], one) {
+		p := r.idx[0]
+		if !e.f.Equal(r.val[0], e.f.One()) {
 			return fmt.Errorf("row %d: pivot entry not 1", i)
 		}
-		if i > 0 && e.pivot[i-1] >= p {
+		if i > 0 && e.rows[i-1].idx[0] >= p {
 			return fmt.Errorf("pivots not strictly increasing at row %d", i)
 		}
-		for k, other := range e.rows {
-			if k != i && !e.f.IsZero(other[p]) {
-				return fmt.Errorf("row %d has nonzero in pivot column %d of row %d", k, p, i)
+		for k, j := range r.idx {
+			if j < 0 || j >= e.ncols || (k > 0 && r.idx[k-1] >= j) {
+				return fmt.Errorf("row %d: column %d out of order or range", i, j)
+			}
+			if e.f.IsZero(r.val[k]) {
+				return fmt.Errorf("row %d: stored zero in column %d", i, j)
 			}
 		}
-	}
-	for c, ri := range e.rowOfPivot {
-		if ri == -1 {
-			continue
-		}
-		if ri < 0 || ri >= len(e.rows) || e.pivot[ri] != c {
-			return fmt.Errorf("rowOfPivot[%d]=%d inconsistent", c, ri)
+		for k, other := range e.rows {
+			if _, ok := other.at(p); ok && k != i {
+				return fmt.Errorf("row %d has nonzero in pivot column %d of row %d", k, p, i)
+			}
 		}
 	}
 	return nil
