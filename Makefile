@@ -3,8 +3,9 @@
 # the concurrent-load tests in internal/server.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test race vet lint lint-report lint-cache-smoke ci bench bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
+.PHONY: build test race vet fmt-check lint lint-report lint-cache-smoke ci bench bench-guard cover replication-smoke loadgen-smoke cluster-smoke report-smoke
 
 build:
 	$(GO) build ./...
@@ -12,13 +13,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus auditlint, the repo's custom stdlib-only
+# Formatting gate: gofmt -l names every file whose layout differs from
+# gofmt's; any name fails the target.
+fmt-check:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
+
+# Static analysis: gofmt, go vet plus auditlint, the repo's custom stdlib-only
 # analyzer suite (cmd/auditlint, docs/LINTING.md) enforcing the
 # determinism, locking and persistence invariants the replay/replication
 # layers depend on. -cache reuses the summary cache (.auditlint-cache/,
 # gitignored) keyed on source + export-data hashes, so warm runs skip
 # the load-and-analyze phase entirely.
-lint: vet
+lint: fmt-check vet
 	$(GO) run ./cmd/auditlint -cache ./...
 
 # Machine-readable findings report (schema 2, with witness chains) for
@@ -82,7 +88,8 @@ report-smoke:
 # Monte Carlo engine benchmarks — the per-worker Decide sweeps
 # {1,2,4,8} with samples-evaluated columns, the deployment-default
 # budget latency, the multi-analyst aggregate-QPS sweep over the shared
-# scheduler, and the coloring chain — plus the session-manager
+# scheduler (decisions/s and process CPU ms per decision), and the
+# coloring chain — plus the session-manager
 # benchmarks (hot-path lookup and the 1000-analyst eviction/replay
 # churn) and the query-resolution benchmarks (naive scan vs indexed
 # resolver, and the full HTTP Ask path with allocs/op), archived as a

@@ -43,9 +43,9 @@ import (
 
 func main() {
 	var (
-		n    = flag.Int("n", 300, "number of records")
-		seed = flag.Int64("seed", 1, "random seed for the synthetic table")
-		mode   = flag.String("mode", "full", "privacy mode: full (classical compromise), maxmin (joint §4 max/min auditing), or partial (probabilistic, max only)")
+		n       = flag.Int("n", 300, "number of records")
+		seed    = flag.Int64("seed", 1, "random seed for the synthetic table")
+		mode    = flag.String("mode", "full", "privacy mode: full (classical compromise), maxmin (joint §4 max/min auditing), or partial (probabilistic, max only)")
 		record  = flag.String("record", "", "append a JSONL trace of the session to this file")
 		csvPath = flag.String("csv", "", "load the table from a headered CSV instead of generating one")
 		csvSens = flag.String("sensitive", "salary", "sensitive column name for -csv")

@@ -40,7 +40,8 @@
 // statistically pinned). Decisions are bit-identical at any worker
 // count for a fixed -prob-seed; /v1/metrics exports the mc_* and
 // mcsched_* counters (samples per decision, early-exit savings,
-// parallel speedup, assist-pool split).
+// parallel speedup, assist-pool split, declined assist tokens, samples
+// cancelled by a certificate).
 //
 // With -session-snapshot every session's query log is restored at
 // startup (if the file exists) and written back on SIGINT/SIGTERM; the

@@ -207,25 +207,17 @@ func (a *Auditor) candidates(q query.Set) []float64 {
 // coloring graph meets Lemma 2's degree condition (MCMC mixes) or its
 // coloring space is small enough for the exact-enumeration fallback the
 // paper sketches. Queries failing both are denied outright, exactly as
-// Section 3.2 prescribes.
+// Section 3.2 prescribes. Each candidate is folded in place and rolled
+// back (synopsis.MaxMin.Try), so the check copies no synopsis.
 func (a *Auditor) inferenceTractableForAllAnswers(q query.Query) bool {
 	limit := a.params.enumerateLimit()
+	intractable := func(b *synopsis.MaxMin) bool {
+		g, err := coloring.Build(b)
+		return err != nil || (!g.MeetsLemma2() && g.SpaceSize(limit) >= limit)
+	}
 	for _, cand := range a.candidates(q.Set) {
-		trial := a.syn.Clone()
-		var err error
-		if q.Kind == query.Max {
-			err = trial.AddMax(q.Set, cand)
-		} else {
-			err = trial.AddMin(q.Set, cand)
-		}
-		if err != nil {
-			continue // inconsistent answers cannot occur
-		}
-		g, gerr := coloring.Build(trial)
-		if gerr != nil {
-			return false
-		}
-		if !g.MeetsLemma2() && g.SpaceSize(limit) >= limit {
+		// An inconsistent candidate cannot occur as an answer: skip it.
+		if consistent, hit := a.syn.Try(q.Kind, q.Set, cand, intractable); consistent && hit {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package maxminprob
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"queryaudit/internal/audit"
@@ -185,4 +187,52 @@ func TestGameNoPanicsAndRecordsConsistent(t *testing.T) {
 	if err := a.Synopsis().CheckInvariants(); err != nil {
 		t.Fatalf("synopsis invariants: %v", err)
 	}
+}
+
+// Decide folds every candidate answer into the trail in place and rolls
+// it back, so the trail must come out byte-identical: any residue of a
+// trial fold would change later decisions and break journal replay.
+func TestDecideLeavesSynopsisUnchanged(t *testing.T) {
+	n := 24
+	rng := randx.New(5)
+	xs := randx.DuplicateFreeDataset(rng, n, 0, 1)
+	a, err := New(n, params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	for round := 0; round < 12; round++ {
+		kind := query.Max
+		if round%2 == 1 {
+			kind = query.Min
+		}
+		lo := 2
+		if round < 4 {
+			lo = n / 2 // broad early queries get answered and build the trail
+		}
+		q := query.Query{Set: query.NewSet(randx.SubsetSizeBetween(rng, n, lo, n)...), Kind: kind}
+		before, err := json.Marshal(a.syn.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := a.Decide(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := json.Marshal(a.syn.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("round %d: Decide changed the synopsis:\nbefore %s\nafter  %s", round, before, after)
+		}
+		if d == audit.Answer {
+			a.Record(q, q.Eval(xs))
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no query was answered, so Decide never ran against a non-empty trail")
+	}
+	t.Logf("%d of 12 queries answered", answered)
 }

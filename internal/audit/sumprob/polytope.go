@@ -422,23 +422,19 @@ func (w *walker) stepChord(rng *rand.Rand) (xBefore, dir []float64, lo, hi float
 		w.d[j] = rng.NormFloat64()
 	}
 	w.projectRowSpace(w.d)
+	// The chord bounds take min/max instead of branching on the sign of
+	// d_j, which no predictor can guess. The two forms agree bit for bit
+	// except in the sign of a zero bound, which cannot reach t or a chord
+	// end (kernel_ref_test.go checks both).
 	lo, hi = math.Inf(-1), math.Inf(1)
-	for j := range w.d {
-		dj := w.d[j]
+	for j, dj := range w.d {
 		if math.Abs(dj) < 1e-12 {
 			continue
 		}
 		t0 := (0 - w.x[j]) / dj
 		t1 := (1 - w.x[j]) / dj
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		if t0 > lo {
-			lo = t0
-		}
-		if t1 < hi {
-			hi = t1
-		}
+		lo = max(lo, min(t0, t1))
+		hi = min(hi, max(t0, t1))
 	}
 	if !(hi > lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 		return nil, nil, 0, 0, false

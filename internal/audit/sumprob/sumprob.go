@@ -26,7 +26,10 @@
 // burning in cold. Consecutive decisions additionally reuse the
 // posterior chain state: the outer chain of decision t+1 starts where
 // decision t's equilibrated chain ended (a deterministic function of the
-// decision history, so journal replay reproduces it bit-for-bit).
+// decision history, so journal replay reproduces it bit-for-bit). A
+// sample still running when the vote's certificate fires can no longer
+// change the decision: its chains poll the vote's stop signal every
+// stopPoll steps and return.
 //
 // Every sample draws from a counter-based stream keyed by (decision
 // seed, sample index), so the decision is bit-identical at any worker
@@ -128,6 +131,12 @@ func (p Params) thin(dim int) int {
 	return 4
 }
 
+// stopPoll is how many chain steps a sample runs between polls of the
+// vote's stop signal: a sample still running when the certificate fires
+// returns within one poll period instead of finishing a verdict nobody
+// reads.
+const stopPoll = 32
+
 // Auditor is the [21]-style probabilistic sum auditor.
 type Auditor struct {
 	n      int
@@ -199,12 +208,13 @@ func (a *Auditor) rowOf(s query.Set) []float64 {
 
 // safeForExt estimates, by sampling the pre-factored extended system
 // bound to the simulated answer vector extB, whether every element's
-// interval posterior stays inside the λ-window. start must be a feasible
+// interval posterior stays inside the λ-window, returning early (unsafe)
+// once the vote's stop signal is up. start must be a feasible
 // point of the extended system — the outer walker's position, whose
 // answer entry was computed from it — which makes the instantiation a
 // projection polish and lets the chain skip the cold burn-in: start is
 // an exact draw from the extended polytope's distribution.
-func (a *Auditor) safeForExt(sh *shape, extB, start []float64, rng *rand.Rand, sc *decideScratch) (bool, error) {
+func (a *Auditor) safeForExt(sh *shape, extB, start []float64, rng *rand.Rand, sc *decideScratch, stop *mcpar.Stop) (bool, error) {
 	if err := sh.instantiateInto(&sc.ext, extB, start, rng); err != nil {
 		return false, err
 	}
@@ -246,55 +256,18 @@ func (a *Auditor) safeForExt(sh *shape, extB, start []float64, rng *rand.Rand, s
 	}
 	// Rao–Blackwellized chord estimator: every step contributes the exact
 	// conditional cell probabilities of each coordinate along its chord.
-	cellW := a.part.Width()
 	stride := a.n * gamma
 	for s := 0; s < batches*perBatch; s++ {
+		if s%stopPoll == 0 && stop.Stopped() {
+			return false, nil // the vote no longer reads this verdict
+		}
 		bi := s / perBatch
 		x, d, lo, hi, ok := w.stepChord(rng)
 		if !ok {
 			continue
 		}
 		used[bi]++
-		cb := sums[bi*stride : (bi+1)*stride]
-		for i := 0; i < a.n; i++ {
-			aEnd := x[i] + lo*d[i]
-			bEnd := x[i] + hi*d[i]
-			if aEnd > bEnd {
-				aEnd, bEnd = bEnd, aEnd
-			}
-			if bEnd-aEnd < 1e-12 {
-				j := a.part.CellIndex(x[i])
-				if j >= 1 {
-					cb[i*gamma+j-1]++
-				}
-				continue
-			}
-			inv := 1 / (bEnd - aEnd)
-			// Only the cells the segment overlaps contribute; chord
-			// endpoints sit in [0,1] up to clamping slack, so the index
-			// window needs clamping, not the arithmetic.
-			jLo := int(aEnd / cellW)
-			if jLo < 0 {
-				jLo = 0
-			}
-			jHi := int(bEnd / cellW)
-			if jHi >= gamma {
-				jHi = gamma - 1
-			}
-			for j := jLo; j <= jHi; j++ {
-				oLo := float64(j) * cellW
-				oHi := oLo + cellW
-				if aEnd > oLo {
-					oLo = aEnd
-				}
-				if bEnd < oHi {
-					oHi = bEnd
-				}
-				if oHi > oLo {
-					cb[i*gamma+j] += (oHi - oLo) * inv
-				}
-			}
-		}
+		accumulateChord(sums[bi*stride:(bi+1)*stride], a.part, x, d, lo, hi)
 	}
 	// Declare a cell unsafe only when the breach is statistically clear:
 	// the batch-mean must sit more than three batch standard errors
@@ -315,6 +288,42 @@ func (a *Auditor) safeForExt(sh *shape, extB, start []float64, rng *rand.Rand, s
 		}
 	}
 	return true, nil
+}
+
+// accumulateChord adds to cb (flat n×γ) each coordinate's exact cell
+// probabilities for a point uniform on its chord segment
+// [x_i + lo·d_i, x_i + hi·d_i]. The endpoint sort and the cell-overlap
+// clamps use min/max rather than branches; the sums are bit-identical to
+// the branching form (kernel_ref_test.go).
+func accumulateChord(cb []float64, part interval.Partition, x, d []float64, lo, hi float64) {
+	gamma := part.Gamma
+	cellW := part.Width()
+	for i := range x {
+		aEnd := x[i] + lo*d[i]
+		bEnd := x[i] + hi*d[i]
+		aEnd, bEnd = min(aEnd, bEnd), max(aEnd, bEnd)
+		if bEnd-aEnd < 1e-12 {
+			j := part.CellIndex(x[i])
+			if j >= 1 {
+				cb[i*gamma+j-1]++
+			}
+			continue
+		}
+		inv := 1 / (bEnd - aEnd)
+		// Only the cells the segment overlaps contribute; chord
+		// endpoints sit in [0,1] up to clamping slack, so the index
+		// window needs clamping, not the arithmetic.
+		jLo := max(int(aEnd/cellW), 0)
+		jHi := min(int(bEnd/cellW), gamma-1)
+		for j := jLo; j <= jHi; j++ {
+			cLo := float64(j) * cellW
+			oLo := max(cLo, aEnd)
+			oHi := min(cLo+cellW, bEnd)
+			if oHi > oLo {
+				cb[i*gamma+j] += (oHi - oLo) * inv
+			}
+		}
+	}
 }
 
 // batchStats returns the across-batch mean and standard error of the
@@ -407,6 +416,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 		burn = a.params.burnIn(dim)
 	}
 	startX := a.lastX // read-only across workers during the vote
+	stop := new(mcpar.Stop)
 	out := mcpar.Vote(
 		mcpar.Config{
 			Workers:       a.params.Workers,
@@ -414,6 +424,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			Observer:      a.mc,
 			Sched:         a.sched,
 			AdaptiveAlpha: a.params.AdaptiveAlpha,
+			Stop:          stop,
 		},
 		budget, barrier,
 		func() *decideScratch {
@@ -429,6 +440,9 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			// dataset.
 			sc.w.resetTo(startX)
 			for t := 0; t < burn+3*thin; t++ {
+				if t%stopPoll == 0 && stop.Stopped() {
+					return true // the vote no longer reads this verdict
+				}
 				sc.w.step(rng)
 			}
 			x := sc.w.point()
@@ -438,7 +452,7 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 			}
 			copy(sc.extB, a.b)
 			sc.extB[len(a.b)] = ans
-			ok, serr := a.safeForExt(extShape, sc.extB, x, rng, sc)
+			ok, serr := a.safeForExt(extShape, sc.extB, x, rng, sc, stop)
 			return serr != nil || !ok
 		})
 

@@ -12,7 +12,8 @@ package extreme
 import "sort"
 
 // slot encoding: even s = 2j   → open interval number j (j = 0..m),
-//                odd  s = 2k+1 → exactly the k-th smallest answer value.
+//
+//	odd  s = 2k+1 → exactly the k-th smallest answer value.
 type oracle struct {
 	n      int
 	cons   []Constraint

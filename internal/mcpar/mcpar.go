@@ -36,9 +36,12 @@
 // budget — still deterministically: the test reads only prefix counts,
 // so a given seed stops at the same point at every worker count.
 //
-// The number of samples actually evaluated MAY exceed the certificate
-// point — workers can have samples in flight when the rule fires — but
-// the claim window bounds the overshoot: evaluated ≤ CertPoint + Workers.
+// Workers can have samples in flight when a rule fires. The claim window
+// bounds them (evaluated + cancelled ≤ CertPoint + Workers), and the
+// run's Stop signal tells them their verdicts will never be read: a long
+// sample polls it and returns early, and Vote waits only for those
+// returns. Outcome.Evaluated counts samples committed before the rule
+// fired; the in-flight ones are Outcome.Cancelled.
 //
 // # Worker isolation
 //
@@ -79,6 +82,10 @@ type Config struct {
 	// confidence 1-AdaptiveAlpha. Zero keeps the exact certificates only,
 	// which never change a decision.
 	AdaptiveAlpha float64
+	// Stop, when non-nil, is the run's stop signal for samples to poll:
+	// Vote lowers it when the run starts and raises it when a stopping
+	// rule fires. nil gives the run a private signal.
+	Stop *Stop
 }
 
 // Observer receives per-decision Monte Carlo accounting — sample budget
@@ -92,9 +99,15 @@ type Observer interface {
 type Outcome struct {
 	// Budget is the sample budget requested.
 	Budget int
-	// Evaluated is how many samples actually ran. It may vary with
-	// scheduling but is bounded: CertPoint ≤ Evaluated ≤ CertPoint+Workers.
+	// Evaluated is how many samples ran to completion before a stopping
+	// rule fired. It may vary with scheduling but is bounded:
+	// CertPoint ≤ Evaluated ≤ CertPoint+Workers.
 	Evaluated int
+	// Cancelled is how many samples were still in flight when the rule
+	// fired. Their verdicts are discarded, and each either returned early
+	// on the Stop signal or finished unread. Evaluated+Cancelled ≤
+	// CertPoint+Workers.
+	Cancelled int
 	// Votes counts "unsafe" verdicts among the first CertPoint samples —
 	// the prefix the decision is taken on. Deterministic at any worker
 	// count, unlike Evaluated.
@@ -180,17 +193,29 @@ type lane[S any] struct {
 	scratch S
 }
 
+// Stop is a run's stop signal (Config.Stop), raised when a stopping rule
+// fires. From then on no sample's verdict is read, so a long sample may
+// poll Stopped and return at once; the verdict it returns is discarded.
+type Stop struct{ flag atomic.Bool }
+
+// Stopped reports whether the run's stopping rule has fired.
+func (s *Stop) Stopped() bool { return s.flag.Load() }
+
 // Vote runs sample(i, rng, scratch) for i ∈ [0, budget), counting true
 // returns as unsafe votes, and reports whether the full-budget vote count
 // exceeds barrier. Each sample's rng is the (cfg.Seed, i) stream; scratch
 // is per-lane state from newScratch (at most Workers lanes; may build
 // reusable buffers). sample must not touch anything mutable outside its
-// scratch — shared inputs (the synopsis, the query) are read-only.
+// scratch — shared inputs (the synopsis, the query) are read-only. A
+// sample may poll cfg.Stop to return early once its verdict is no longer
+// needed. Vote returns only after every sample it started has returned.
 //
 // The calling goroutine always participates: with Workers == 1 the whole
 // run is inline and allocation-light, with Workers > 1 up to Workers-1
 // work tokens are offered to the scheduler and the caller races the
-// assists for the remaining samples.
+// assists for the remaining samples. An assist starts a sample only on a
+// free CPU slot of the scheduler (see Scheduler), so under load the
+// caller runs the decision alone.
 func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample func(i int, rng *rand.Rand, scratch S) bool) Outcome {
 	workers := cfg.resolveWorkers(budget)
 	start := time.Now() //auditlint:allow detrand latency metric stamp, never a decision input
@@ -203,11 +228,23 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		return out
 	}
 
-	r := newRun(budget, barrier, workers, chunkFor(budget, workers), cfg.AdaptiveAlpha)
+	var sched *Scheduler
+	if workers > 1 {
+		sched = cfg.Sched
+		if sched == nil {
+			sched = Default()
+		}
+	}
+	stop := cfg.Stop
+	if stop == nil {
+		stop = new(Stop)
+	}
+	stop.flag.Store(false)
+	r := newRun(budget, barrier, workers, chunkFor(budget, workers), cfg.AdaptiveAlpha, sched, stop)
 	lanes := make(chan *lane[S], workers)
 	var created int32
 	var busy atomic.Int64
-	r.eval = func(i int) {
+	r.eval = func(i int) bool {
 		var l *lane[S]
 		select {
 		case l = <-lanes:
@@ -224,24 +261,25 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		unsafe := sample(i, l.rng, l.scratch)
 		busy.Add(int64(time.Since(begin))) //auditlint:allow detrand latency metric stamp, never a decision input
 		lanes <- l
-		r.commit(i, unsafe)
+		return unsafe
 	}
 
-	sched := cfg.Sched
-	if sched == nil {
-		sched = Default()
-	}
 	tokens := 0
-	if workers > 1 {
+	if sched != nil {
+		sched.acquire()
 		tokens = sched.offer(r, workers-1)
 	}
 	callerRan := r.work(0)
+	if sched != nil {
+		sched.release()
+	}
 	<-r.done
 
 	r.mu.Lock()
 	out := Outcome{
 		Budget:    budget,
 		Evaluated: r.evaluated,
+		Cancelled: r.cancelled,
 		Votes:     r.prefixVote,
 		Workers:   workers,
 		Exceeded:  r.deny,
@@ -249,10 +287,17 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		Adaptive:  r.adaptive,
 		busy:      time.Duration(busy.Load()),
 	}
+	declined := r.declined
 	r.mu.Unlock()
 
 	if tokens > 0 {
-		sched.observe(tokens, int(r.assisted.Load()), callerRan)
+		sched.observe(SchedRun{
+			Tokens:    tokens,
+			Declined:  declined,
+			Assisted:  int(r.assisted.Load()),
+			Caller:    callerRan,
+			Cancelled: out.Cancelled,
+		})
 	}
 	if cfg.Observer != nil {
 		wall := time.Since(start) //auditlint:allow detrand latency metric stamp, never a decision input

@@ -14,20 +14,23 @@ package mcpar
 // cannot change either. certPoint equals exactly the sample at which the
 // old sequential loop stopped.
 //
-// # Bounded overshoot
+// # Bounded overshoot and cancellation
 //
 // Claims are throttled to a window of `window` indices past the frontier
 // (window = the run's worker cap). Every claimed index is < frontier +
 // window at claim time, and the frontier freezes at certPoint, so
 //
-//	evaluated ≤ certPoint + window
+//	evaluated + cancelled ≤ certPoint + window
 //
-// holds unconditionally — the bound the overshoot fix demands, replacing
-// the old free-running dispenser whose overshoot grew with the scheduling
-// gap between the stop flag's writer and its readers. A full window with
-// an un-fired certificate always has at least one sample in flight (a
-// committed prefix would have advanced the frontier), so blocking in
-// claim() cannot deadlock: the in-flight commit broadcasts.
+// holds unconditionally. When a rule fires the run also raises its stop
+// signal: every sample still in flight has an index ≥ certPoint (all
+// smaller ones are committed), so its verdict can never be read, and a
+// long sample that polls the signal returns early instead of finishing
+// work nobody reads. Those samples commit as cancelled, not evaluated.
+// A full window with an un-fired certificate always has at least one
+// sample in flight (a committed prefix would have advanced the
+// frontier), so blocking in claim() cannot deadlock: the in-flight
+// commit broadcasts.
 
 import (
 	"math"
@@ -45,18 +48,26 @@ type run struct {
 	window  int     // claim window == resolved worker cap
 	chunk   int     // samples an assist evaluates per token
 	alpha   float64 // adaptive error budget (0 = exact certificates only)
+	// sched is the pool whose CPU slots this run's samples occupy; nil
+	// for a sequential run, which never touches a scheduler.
+	sched *Scheduler
 
-	// eval evaluates sample i: acquire a lane, reseed its stream to
-	// (seed, i), run the sample, commit the verdict. Set by Vote; closes
+	// eval evaluates sample i and returns its verdict: acquire a lane,
+	// reseed its stream to (seed, i), run the sample. Set by Vote; closes
 	// over the generic lane pool.
-	eval func(i int)
+	eval func(i int) bool
+
+	// stop is raised when a stopping rule fires; samples may poll it.
+	stop *Stop
 
 	mu   sync.Mutex
 	cond sync.Cond // signals frontier/claimability changes; init by newRun
 
 	next       int // claim dispenser
 	inflight   int // claimed, not yet committed
-	evaluated  int // committed samples
+	evaluated  int // samples committed before a rule fired
+	cancelled  int // samples still in flight when a rule fired
+	declined   int // assist tokens dropped for want of a free CPU slot
 	frontier   int // contiguous committed prefix length
 	prefixVote int // unsafe verdicts inside [0, frontier)
 	results    []uint8
@@ -65,16 +76,18 @@ type run struct {
 	adaptive   bool // stop came from the adaptive test, not an exact cert
 
 	done     chan struct{}
-	assisted atomic.Int64 // samples evaluated by pool workers
+	assisted atomic.Int64 // samples started by pool workers
 }
 
-func newRun(budget, barrier, window, chunk int, alpha float64) *run {
+func newRun(budget, barrier, window, chunk int, alpha float64, sched *Scheduler, stop *Stop) *run {
 	r := &run{
 		budget:    budget,
 		barrier:   barrier,
 		window:    window,
 		chunk:     chunk,
 		alpha:     alpha,
+		sched:     sched,
+		stop:      stop,
 		results:   make([]uint8, budget),
 		certPoint: -1,
 		done:      make(chan struct{}),
@@ -84,30 +97,37 @@ func newRun(budget, barrier, window, chunk int, alpha float64) *run {
 }
 
 // work claims and evaluates samples until the run stops or, when limit is
-// positive, until limit samples were evaluated by this call. It returns
-// the number evaluated. Shared by the deciding goroutine (limit 0) and
-// the scheduler's assists (limit = chunk). Assisted samples are tallied
-// before their commit so the count is complete when the run's done
-// channel closes.
+// positive, until limit samples ran. It returns the number run. The
+// deciding goroutine calls it with limit 0 and holds its own CPU slot for
+// the whole call; the scheduler's assists call it with limit = chunk and
+// take a slot per sample, so an assist stops early — declining its token
+// — when every slot is busy. Assisted samples are tallied before they
+// run so the count is complete when the run's done channel closes.
 func (r *run) work(limit int) int {
+	assist := limit > 0
 	n := 0
-	for limit <= 0 || n < limit {
-		i, ok := r.claim()
+	for !assist || n < limit {
+		i, ok := r.claim(assist)
 		if !ok {
 			break
 		}
-		if limit > 0 {
+		if assist {
 			r.assisted.Add(1)
 		}
-		r.eval(i)
+		unsafe := r.eval(i)
+		if assist {
+			r.sched.release()
+		}
+		r.commit(i, unsafe)
 		n++
 	}
 	return n
 }
 
 // claim returns the next sample index, blocking while the claim window is
-// full. ok is false once the run has stopped or the budget is exhausted.
-func (r *run) claim() (i int, ok bool) {
+// full. ok is false once the run has stopped or the budget is exhausted,
+// and, for an assist, when no CPU slot of the scheduler is free.
+func (r *run) claim(assist bool) (i int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -115,13 +135,18 @@ func (r *run) claim() (i int, ok bool) {
 			return 0, false
 		}
 		if r.next < r.frontier+r.window {
-			i = r.next
-			r.next++
-			r.inflight++
-			return i, true
+			break
 		}
 		r.cond.Wait()
 	}
+	if assist && !r.sched.tryAcquire() {
+		r.declined++
+		return 0, false
+	}
+	i = r.next
+	r.next++
+	r.inflight++
+	return i, true
 }
 
 // claimable reports whether unclaimed samples remain — whether a
@@ -134,17 +159,23 @@ func (r *run) claimable() bool {
 
 // commit records sample i's verdict, advances the contiguous frontier,
 // and applies the stopping rules at each newly committed prefix length.
-// The commit that both sees a fired rule and drains the last in-flight
-// sample completes the run.
+// A sample committing after a rule fired was in flight when it fired: it
+// counts as cancelled and its verdict is dropped. The commit that both
+// sees a fired rule and drains the last in-flight sample completes the
+// run.
 func (r *run) commit(i int, unsafe bool) {
 	v := uint8(1)
 	if unsafe {
 		v = 2
 	}
 	r.mu.Lock()
-	r.results[i] = v
-	r.evaluated++
 	r.inflight--
+	if r.certPoint >= 0 {
+		r.cancelled++
+	} else {
+		r.results[i] = v
+		r.evaluated++
+	}
 	for r.certPoint < 0 && r.frontier < r.budget && r.results[r.frontier] != 0 {
 		if r.results[r.frontier] == 2 {
 			r.prefixVote++
@@ -154,6 +185,7 @@ func (r *run) commit(i int, unsafe bool) {
 			r.certPoint = r.frontier
 			r.deny = deny
 			r.adaptive = adaptive
+			r.stop.flag.Store(true)
 		}
 	}
 	finished := r.certPoint >= 0 && r.inflight == 0

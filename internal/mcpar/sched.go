@@ -17,19 +17,39 @@ package mcpar
 // run still has claimable samples — re-enqueue the token behind every
 // other waiting run. That round-robin keeps one slow decision (sumprob's
 // polytope chains) from starving the cheap ones (maxprob) behind it.
+//
+// # CPU slots
+//
+// The pool has Size() CPU slots. A deciding caller holds one for its
+// whole run; an assist takes one per sample and only while one is free.
+// An assist that finds every slot busy drops (declines) its token and the
+// caller finishes the run alone. So assists only fill idle CPUs: a lone
+// decision keeps its parallel speed-up, while decisions that already
+// occupy every slot run without speculative help. At most Size() assist
+// samples run at once, and Monte Carlo work occupies at most
+// max(Size(), deciding callers) CPUs, apart from assist samples already
+// running when more callers arrive, which finish and then yield.
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
+
+// SchedRun is the scheduler's accounting of one assisted Vote run.
+// Assisted + Caller = Outcome.Evaluated + Outcome.Cancelled.
+type SchedRun struct {
+	Tokens    int // work tokens the run enqueued
+	Declined  int // tokens dropped because every CPU slot was busy
+	Assisted  int // samples run by pool workers
+	Caller    int // samples run by the deciding goroutine
+	Cancelled int // samples in flight when the stopping rule fired
+}
 
 // SchedObserver receives one report per scheduler-assisted Vote run.
 // internal/metrics.SchedCollector implements it.
 type SchedObserver interface {
-	// ObserveSchedRun reports how a run's samples were split between the
-	// pool (assisted) and the deciding goroutine itself (caller), and how
-	// many work tokens the run enqueued.
-	ObserveSchedRun(tokens, assisted, caller int)
+	ObserveSchedRun(SchedRun)
 }
 
 // Scheduler is a shared assist pool. The zero value is not usable; build
@@ -42,25 +62,39 @@ type Scheduler struct {
 	size   int
 	wg     sync.WaitGroup
 	obs    SchedObserver
+	// running counts occupied CPU slots: one per deciding caller of a
+	// scheduled run, one per assist sample in progress.
+	running atomic.Int64
 }
 
 // NewScheduler starts a pool of size assist workers (0 or negative means
-// runtime.GOMAXPROCS(0)). Size bounds how many samples the pool can
-// evaluate concurrently ACROSS all decisions; each decision's own cap is
-// Config.Workers. A size-0 pool is impossible — callers wanting fully
-// sequential decisions set Config.Workers to 1, which never enqueues
-// tokens at all.
+// runtime.GOMAXPROCS(0)). Size is also the number of CPU slots: it bounds
+// how many samples the pool evaluates concurrently ACROSS all decisions;
+// each decision's own cap is Config.Workers. A size-0 pool is impossible
+// — callers wanting fully sequential decisions set Config.Workers to 1,
+// which never enqueues tokens at all.
 func NewScheduler(size int) *Scheduler {
+	s := newScheduler(size)
+	s.start()
+	return s
+}
+
+// newScheduler builds the pool without starting its workers.
+func newScheduler(size int) *Scheduler {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
 	s := &Scheduler{size: size}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(size)
-	for i := 0; i < size; i++ {
+	return s
+}
+
+// start launches the assist workers.
+func (s *Scheduler) start() {
+	s.wg.Add(s.size)
+	for i := 0; i < s.size; i++ {
 		go s.worker()
 	}
-	return s
 }
 
 // SetObserver installs the per-run accounting hook (nil disables).
@@ -126,23 +160,40 @@ func (s *Scheduler) worker() {
 		s.queue[0] = nil
 		s.queue = s.queue[1:]
 		s.mu.Unlock()
-		r.work(r.chunk)
-		if r.claimable() {
+		// A short chunk means the run stopped, ran out of samples, or
+		// found no free slot: the token is spent either way.
+		if r.work(r.chunk) == r.chunk && r.claimable() {
 			s.offer(r, 1)
 		}
 	}
 }
 
-// observe reports a finished run to the observer, if any.
-func (s *Scheduler) observe(tokens, assisted, caller int) {
-	if s == nil {
-		return
+// acquire occupies a CPU slot unconditionally (a deciding caller).
+func (s *Scheduler) acquire() { s.running.Add(1) }
+
+// tryAcquire occupies a CPU slot if one is free (an assist sample).
+func (s *Scheduler) tryAcquire() bool {
+	for {
+		n := s.running.Load()
+		if n >= int64(s.size) {
+			return false
+		}
+		if s.running.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
+}
+
+// release frees a slot taken by acquire or tryAcquire.
+func (s *Scheduler) release() { s.running.Add(-1) }
+
+// observe reports a finished run to the observer, if any.
+func (s *Scheduler) observe(run SchedRun) {
 	s.mu.Lock()
 	obs := s.obs
 	s.mu.Unlock()
 	if obs != nil {
-		obs.ObserveSchedRun(tokens, assisted, caller)
+		obs.ObserveSchedRun(run)
 	}
 }
 

@@ -2,8 +2,11 @@ package mcpar
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The overshoot bound from the claim window: however samples land across
@@ -186,5 +189,194 @@ func TestVoteLaneCountBounded(t *testing.T) {
 	}
 	if made == 0 {
 		t.Fatal("no scratch was ever built")
+	}
+}
+
+// schedCapture collects SchedRun reports.
+type schedCapture struct {
+	mu   sync.Mutex
+	runs []SchedRun
+}
+
+func (c *schedCapture) ObserveSchedRun(r SchedRun) {
+	c.mu.Lock()
+	c.runs = append(c.runs, r)
+	c.mu.Unlock()
+}
+
+func (c *schedCapture) total() (sum SchedRun, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range c.runs {
+		sum.Tokens += r.Tokens
+		sum.Declined += r.Declined
+		sum.Assisted += r.Assisted
+		sum.Caller += r.Caller
+		sum.Cancelled += r.Cancelled
+	}
+	return sum, len(c.runs)
+}
+
+// waitFor is spinUntil for the test goroutine: it fails the test on
+// timeout.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	if !spinUntil(cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// spinUntil polls cond until it holds or a deadline generous enough for
+// a loaded machine passes, and reports whether it held. Safe on any
+// goroutine.
+func spinUntil(cond func() bool) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// When sample 0 fires the deny certificate, samples still in flight see
+// the stop signal and return: Vote must not wait for them to finish
+// their work, and the decision, certificate point and votes must match
+// the sequential run. Sample 0 waits until a second sample has started,
+// so a parallel run always has one in flight at the certificate.
+func TestVoteCancelsInFlightSamplesOnCertificate(t *testing.T) {
+	sched := NewScheduler(8)
+	defer sched.Close()
+	obs := &schedCapture{}
+	sched.SetObserver(obs)
+	for _, workers := range []int{1, 2, 8} {
+		stop := new(Stop)
+		var started atomic.Int32
+		start := time.Now()
+		out := Vote(Config{Workers: workers, Seed: 4, Sched: sched, Stop: stop}, 1000, 0,
+			func() struct{} { return struct{}{} },
+			func(i int, _ *rand.Rand, _ struct{}) bool {
+				started.Add(1)
+				if i == 0 {
+					if workers > 1 && !spinUntil(func() bool { return started.Load() >= 2 }) {
+						t.Errorf("workers=%d: no second sample started beside sample 0", workers)
+					}
+					return true
+				}
+				if !spinUntil(stop.Stopped) {
+					t.Errorf("workers=%d: sample %d never saw the stop signal", workers, i)
+				}
+				return false
+			})
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("workers=%d: Vote took %v waiting for cancelled samples", workers, elapsed)
+		}
+		if !out.Exceeded || out.CertPoint != 1 || out.Votes != 1 {
+			t.Fatalf("workers=%d: (deny=%v cert=%d votes=%d), want (true 1 1)",
+				workers, out.Exceeded, out.CertPoint, out.Votes)
+		}
+		if out.Evaluated < out.CertPoint || out.Evaluated+out.Cancelled > out.CertPoint+out.Workers {
+			t.Fatalf("workers=%d: evaluated %d + cancelled %d outside [cert %d, cert+workers %d]",
+				workers, out.Evaluated, out.Cancelled, out.CertPoint, out.CertPoint+out.Workers)
+		}
+		if wantCancelled := out.Cancelled > 0; wantCancelled != (workers > 1) {
+			t.Fatalf("workers=%d: %d samples cancelled", workers, out.Cancelled)
+		}
+	}
+	sum, n := obs.total()
+	if n != 2 {
+		t.Fatalf("%d assisted runs reported, want 2 (workers 2 and 8)", n)
+	}
+	if sum.Cancelled == 0 || sum.Assisted+sum.Caller < sum.Cancelled {
+		t.Fatalf("run split %+v: want cancelled samples, no more than ran", sum)
+	}
+}
+
+// A pool of size P with P callers deciding at once has no idle CPU slot:
+// every assist token is declined and no assist sample runs. The callers
+// still reach the sequential decisions on their own.
+func TestAssistsDeclinedWhenCallersFillSlots(t *testing.T) {
+	const p, budget = 3, 64
+	sched := newScheduler(p) // workers start once every caller is inside a sample
+	obs := &schedCapture{}
+	sched.SetObserver(obs)
+	var entered atomic.Int32
+	release := make(chan struct{})
+	sample := func(i int, rng *rand.Rand, _ struct{}) bool {
+		if i == 0 {
+			entered.Add(1)
+			<-release
+		}
+		return rng.Float64() < 0.01
+	}
+	var wg sync.WaitGroup
+	got := make([]Outcome, p)
+	for c := 0; c < p; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got[c] = Vote(Config{Workers: p, Seed: int64(c), Sched: sched}, budget, 0,
+				func() struct{} { return struct{}{} }, sample)
+		}(c)
+	}
+	waitFor(t, "every caller inside its first sample", func() bool { return entered.Load() == p })
+	sched.start()
+	waitFor(t, "the pool to take every token", func() bool {
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		return len(sched.queue) == 0
+	})
+	sched.Close() // returns once every worker finished the token it held
+	close(release)
+	wg.Wait()
+
+	sum, n := obs.total()
+	if n != p {
+		t.Fatalf("%d runs reported, want %d", n, p)
+	}
+	if sum.Assisted != 0 {
+		t.Fatalf("%d assist samples ran with every CPU slot held by a caller", sum.Assisted)
+	}
+	if sum.Declined != p*(p-1) || sum.Tokens != p*(p-1) {
+		t.Fatalf("tokens %d, declined %d; want %d of each", sum.Tokens, sum.Declined, p*(p-1))
+	}
+	for c := range got {
+		want := Vote(Config{Workers: 1, Seed: int64(c)}, budget, 0,
+			func() struct{} { return struct{}{} }, sample)
+		if got[c].Exceeded != want.Exceeded || got[c].CertPoint != want.CertPoint || got[c].Votes != want.Votes {
+			t.Fatalf("caller %d: (deny=%v cert=%d votes=%d), sequential (deny=%v cert=%d votes=%d)",
+				c, got[c].Exceeded, got[c].CertPoint, got[c].Votes, want.Exceeded, want.CertPoint, want.Votes)
+		}
+	}
+}
+
+// A lone decision leaves CPU slots idle, so the pool does assist it:
+// sample 0 returns only once another sample has started beside it, which
+// whoever of caller and assist did not take sample 0 must run.
+func TestLoneCallerGetsAssists(t *testing.T) {
+	sched := NewScheduler(2)
+	defer sched.Close()
+	obs := &schedCapture{}
+	sched.SetObserver(obs)
+	var started atomic.Int32
+	out := Vote(Config{Workers: 2, Seed: 1, Sched: sched}, 16, 0,
+		func() struct{} { return struct{}{} },
+		func(i int, _ *rand.Rand, _ struct{}) bool {
+			started.Add(1)
+			if i == 0 && !spinUntil(func() bool { return started.Load() >= 2 }) {
+				t.Error("no second sample ran beside sample 0")
+			}
+			return false
+		})
+	if out.Exceeded || out.CertPoint != 16 {
+		t.Fatalf("all-safe run: deny=%v cert=%d, want answer at 16", out.Exceeded, out.CertPoint)
+	}
+	sum, n := obs.total()
+	if n != 1 || sum.Assisted == 0 || sum.Declined != 0 {
+		t.Fatalf("lone caller: %d runs, split %+v; want one run with assists and no declines", n, sum)
+	}
+	if sum.Assisted+sum.Caller != out.Evaluated+out.Cancelled {
+		t.Fatalf("split %+v does not add up to evaluated %d + cancelled %d", sum, out.Evaluated, out.Cancelled)
 	}
 }

@@ -1,10 +1,14 @@
 // Monte Carlo instrumentation: an mcpar.Observer implementation backed by
 // a Registry. Lives here (not in mcpar) so the decision engine stays free
-// of any metrics dependency — mcpar defines the Observer interface, this
-// file satisfies it structurally.
+// of any metrics dependency — mcpar defines the observer interfaces, this
+// file implements them.
 package metrics
 
-import "time"
+import (
+	"time"
+
+	"queryaudit/internal/mcpar"
+)
 
 // MCSampleBuckets bound the per-decision sample-count histogram: the
 // Chernoff budgets run from a handful of samples (tiny T/δ) to the
@@ -68,35 +72,48 @@ func (c *MCCollector) ObserveMC(budget, evaluated, votes, workers int, wall, bus
 
 // SchedCollector implements mcpar.SchedObserver over a Registry: how the
 // shared decision scheduler splits sample work between the assist pool
-// and the deciding goroutines themselves. Atomic-only, like MCCollector.
+// and the deciding goroutines themselves, and how much speculative work
+// it skipped. Atomic-only, like MCCollector.
 //
 // Exported names:
 //
-//	mcsched_runs_total            scheduler-assisted decisions
-//	mcsched_tokens_total          work tokens enqueued
-//	mcsched_assist_samples_total  samples evaluated by pool workers
-//	mcsched_caller_samples_total  samples evaluated by deciding callers
+//	mcsched_runs_total               scheduler-assisted decisions
+//	mcsched_tokens_total             work tokens enqueued
+//	mcsched_tokens_declined_total    tokens dropped: every CPU slot busy
+//	mcsched_assist_samples_total     samples run by pool workers
+//	mcsched_caller_samples_total     samples run by deciding callers
+//	mcsched_samples_cancelled_total  samples in flight when the
+//	                                 certificate fired (verdict discarded)
+//
+// assist + caller samples = mc_samples_total + cancelled samples, over
+// the scheduler-assisted decisions.
 type SchedCollector struct {
-	runs    *Counter
-	tokens  *Counter
-	assist  *Counter
-	callers *Counter
+	runs      *Counter
+	tokens    *Counter
+	declined  *Counter
+	assist    *Counter
+	callers   *Counter
+	cancelled *Counter
 }
 
 // NewSchedCollector wires a collector into reg.
 func NewSchedCollector(reg *Registry) *SchedCollector {
 	return &SchedCollector{
-		runs:    reg.Counter("mcsched_runs_total"),
-		tokens:  reg.Counter("mcsched_tokens_total"),
-		assist:  reg.Counter("mcsched_assist_samples_total"),
-		callers: reg.Counter("mcsched_caller_samples_total"),
+		runs:      reg.Counter("mcsched_runs_total"),
+		tokens:    reg.Counter("mcsched_tokens_total"),
+		declined:  reg.Counter("mcsched_tokens_declined_total"),
+		assist:    reg.Counter("mcsched_assist_samples_total"),
+		callers:   reg.Counter("mcsched_caller_samples_total"),
+		cancelled: reg.Counter("mcsched_samples_cancelled_total"),
 	}
 }
 
 // ObserveSchedRun implements mcpar.SchedObserver.
-func (c *SchedCollector) ObserveSchedRun(tokens, assisted, caller int) {
+func (c *SchedCollector) ObserveSchedRun(r mcpar.SchedRun) {
 	c.runs.Inc()
-	c.tokens.Add(int64(tokens))
-	c.assist.Add(int64(assisted))
-	c.callers.Add(int64(caller))
+	c.tokens.Add(int64(r.Tokens))
+	c.declined.Add(int64(r.Declined))
+	c.assist.Add(int64(r.Assisted))
+	c.callers.Add(int64(r.Caller))
+	c.cancelled.Add(int64(r.Cancelled))
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -134,7 +135,9 @@ func BenchmarkSumProbDecideDefaultBudget(b *testing.B) {
 // each, as the session manager builds them) deciding concurrently over
 // ONE shared assist pool. The metric is aggregate decisions per second
 // across all sessions — the number that regressed when every decision
-// spun up its own worker pool.
+// spun up its own worker pool — plus the process CPU time per decision,
+// which shows speculative samples (work past a certificate, assists on
+// busy CPUs) as cost even when decisions/s cannot see it.
 func BenchmarkAggregateDecideQPS(b *testing.B) {
 	const n = 32
 	const analysts = 4
@@ -165,6 +168,7 @@ func BenchmarkAggregateDecideQPS(b *testing.B) {
 			}
 			b.ResetTimer()
 			start := time.Now()
+			cpu0 := processCPU(b)
 			var wg sync.WaitGroup
 			var decisions atomic.Int64
 			for i := range auds {
@@ -181,9 +185,20 @@ func BenchmarkAggregateDecideQPS(b *testing.B) {
 				}(auds[i])
 			}
 			wg.Wait()
+			cpu := processCPU(b) - cpu0
 			b.ReportMetric(float64(decisions.Load())/time.Since(start).Seconds(), "decisions/s")
+			b.ReportMetric(cpu.Seconds()*1000/float64(decisions.Load()), "cpu-ms/decision")
 		})
 	}
+}
+
+// processCPU returns the user plus system CPU time the process has used.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // TestSumProbWorkerScalingGuard is the workers>1 regression tripwire:
