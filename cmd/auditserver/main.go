@@ -33,9 +33,9 @@
 // With -auditors=prob the table is instead guarded by the probabilistic
 // (λ, δ, γ, T) auditors of Section 3 — maxminprob on max/min, sumprob on
 // sum — whose Monte Carlo decisions run on one shared scheduler: an
-// assist pool sized by -mc-workers (0 = GOMAXPROCS) multiplexed across
-// every session's concurrent decisions, with -mc-workers also capping
-// each single decision's share. -mc-adaptive-alpha arms the adaptive
+// assist pool sized by -mc-workers (0 = GOMAXPROCS; its CPU slots are
+// capped at GOMAXPROCS) multiplexed across every session's concurrent
+// decisions, with -mc-workers also capping each single decision's share. -mc-adaptive-alpha arms the adaptive
 // sample budget (early stopping once a decision's outcome is
 // statistically pinned). Decisions are bit-identical at any worker
 // count for a fixed -prob-seed; /v1/metrics exports the mc_* and
@@ -103,7 +103,7 @@ func main() {
 		drain       = flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain window on SIGINT/SIGTERM")
 		quietAccess = flag.Bool("quiet", false, "disable per-request access logging")
 		auditors    = flag.String("auditors", "full", "auditor family: full (exact disclosure auditors) or prob (Section 3 probabilistic auditors)")
-		mcWorkers   = flag.Int("mc-workers", 0, "per-decision cap on the shared Monte Carlo scheduler for prob auditors (0 = GOMAXPROCS, 1 = sequential); the assist pool itself is sized to this cap and multiplexed across all sessions' decisions")
+		mcWorkers   = flag.Int("mc-workers", 0, "per-decision cap on the shared Monte Carlo scheduler for prob auditors (0 = GOMAXPROCS, 1 = sequential); the assist pool itself is sized to this cap and multiplexed across all sessions' decisions, and its CPU slots are capped at GOMAXPROCS, so a larger value adds no speculation")
 		mcAlpha     = flag.Float64("mc-adaptive-alpha", 0, "prob auditors: adaptive sample-budget error bound α (0 disables; e.g. 0.01 stops a decision early once its outcome is pinned with 99% confidence — still deterministic per seed)")
 		probLambda  = flag.Float64("prob-lambda", 0.45, "prob auditors: tolerated posterior/prior drift λ in (0,1)")
 		probGamma   = flag.Int("prob-gamma", 4, "prob auditors: partition intervals γ")

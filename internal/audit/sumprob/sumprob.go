@@ -26,20 +26,36 @@
 // burning in cold. Consecutive decisions additionally reuse the
 // posterior chain state: the outer chain of decision t+1 starts where
 // decision t's equilibrated chain ended (a deterministic function of the
-// decision history, so journal replay reproduces it bit-for-bit). A
-// sample still running when the vote's certificate fires can no longer
-// change the decision: its chains poll the vote's stop signal every
-// stopPoll steps and return.
+// decision history, so journal replay reproduces it bit-for-bit).
+//
+// A sample runs in two phases. Phase 1, on the caller before the vote,
+// runs every sample's cheap outer chain over the base polytope and keeps
+// its point, its simulated answer and its stream's state. Phase 2 is the
+// vote: position j runs the expensive inner chain of sample order[j],
+// resuming that sample's stream. Samples are ranked by how far their
+// answer lies from the budget's median answer, largest first: extreme
+// answers are the likeliest to breach the window, so a denial — the
+// common outcome, whose barrier is usually 0 — tends to certify on the
+// first inner chain, which mcpar runs alone before it fans out. A sample
+// still running when the vote's certificate fires can no longer change
+// the decision: its inner chain polls the vote's stop signal every
+// stopPoll steps and returns.
 //
 // Every sample draws from a counter-based stream keyed by (decision
-// seed, sample index), so the decision is bit-identical at any worker
-// count.
+// seed, sample index), and its verdict does not depend on its position.
+// Under exact certificates the decision depends only on the budget's
+// verdicts, and the order is a pure function of (seed, history), so the
+// decision and its certificate point are bit-identical at any worker
+// count. The adaptive rule reads the vote prefix as an unbiased sample;
+// with it armed, the vote keeps the index order.
 package sumprob
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"queryaudit/internal/audit"
 	"queryaudit/internal/interval"
@@ -163,6 +179,11 @@ type Auditor struct {
 	// lastX is the end of the previous decision's equilibrated outer
 	// chain — the posterior state the next decision's chains resume from.
 	lastX []float64
+	// prop holds the current decision's phase 1, reused across decisions.
+	prop proposals
+	// verdictHook, when set (tests only), receives every sample verdict
+	// that ran to completion, keyed by sample index.
+	verdictHook func(sample int, unsafe bool)
 }
 
 // New returns an auditor over n records uniform on [0,1].
@@ -415,7 +436,13 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	if !warm {
 		burn = a.params.burnIn(dim)
 	}
-	startX := a.lastX // read-only across workers during the vote
+	w := base.newWalker()
+	a.prop.propose(w, a.lastX, q.Set, budget, burn+3*thin, voteSeed)
+	// The adaptive rule reads the vote prefix as an unbiased sample, so
+	// only exact certificates may see the ranked order.
+	a.prop.rank(budget, a.params.AdaptiveAlpha <= 0)
+	prop := &a.prop // read-only across workers during the vote
+	n := a.n
 	stop := new(mcpar.Stop)
 	out := mcpar.Vote(
 		mcpar.Config{
@@ -428,45 +455,35 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 		},
 		budget, barrier,
 		func() *decideScratch {
-			sc := &decideScratch{
-				w:    base.newWalker(),
-				extB: make([]float64, len(a.b)+1),
-			}
+			sc := &decideScratch{extB: make([]float64, len(a.b)+1)}
+			sc.rng = rand.New(&sc.src)
 			return sc
 		},
-		func(_ int, rng *rand.Rand, sc *decideScratch) bool {
-			// Independent chain per sample: resume from the session's
-			// posterior state, equilibrate, and read one hypothetical
-			// dataset.
-			sc.w.resetTo(startX)
-			for t := 0; t < burn+3*thin; t++ {
-				if t%stopPoll == 0 && stop.Stopped() {
-					return true // the vote no longer reads this verdict
-				}
-				sc.w.step(rng)
-			}
-			x := sc.w.point()
-			ans := 0.0
-			for _, i := range q.Set {
-				ans += x[i]
-			}
+		func(pos int, _ *rand.Rand, sc *decideScratch) bool {
+			// Vote position pos runs the inner chain of sample
+			// order[pos], resuming that sample's own stream where its
+			// outer chain left it: the verdict is the sample's, whatever
+			// its position.
+			i := prop.order[pos]
+			sc.src = prop.streams[i]
 			copy(sc.extB, a.b)
-			sc.extB[len(a.b)] = ans
-			ok, serr := a.safeForExt(extShape, sc.extB, x, rng, sc, stop)
-			return serr != nil || !ok
+			sc.extB[len(a.b)] = prop.ans[i]
+			ok, serr := a.safeForExt(extShape, sc.extB, prop.pts[i*n:(i+1)*n], sc.rng, sc, stop)
+			unsafe := serr != nil || !ok
+			if a.verdictHook != nil && !stop.Stopped() {
+				a.verdictHook(i, unsafe)
+			}
+			return unsafe
 		})
 
 	// Advance the shared chain state for the next decision: equilibrate a
 	// fresh stretch from the current state with the setup stream. Pure
 	// function of the decision history — replay lands on the same point.
-	{
-		w := base.newWalker()
-		w.resetTo(a.lastX)
-		for t := 0; t < 3*thin; t++ {
-			w.step(setupRng)
-		}
-		a.lastX = append(a.lastX[:0], w.point()...)
+	w.resetTo(a.lastX)
+	for t := 0; t < 3*thin; t++ {
+		w.step(setupRng)
 	}
+	a.lastX = append(a.lastX[:0], w.point()...)
 
 	if out.Exceeded {
 		return audit.Deny, nil
@@ -474,13 +491,89 @@ func (a *Auditor) Decide(q query.Query) (audit.Decision, error) {
 	return audit.Answer, nil
 }
 
-// decideScratch is the per-lane reusable state of Decide: a hit-and-run
-// walker over the shared base polytope, the extended answer vector, a
-// reusable extended-system instance with its own walker, and the flat
-// batch-means accumulators of the inner estimator.
+// proposals is phase 1 of a decision: every sample's outer chain, run on
+// the caller before the vote. It lives on the auditor so its buffers are
+// reused across decisions.
+type proposals struct {
+	pts     []float64        // budget×n flat: sample i's hypothetical dataset
+	ans     []float64        // sample i's simulated answer
+	streams []randx.SplitMix // sample i's stream, just past its outer chain
+	order   []int            // vote position → sample index
+	dist    []float64        // |answer − median answer| per sample
+}
+
+// propose runs each sample's outer chain: from the session's posterior
+// state x0, steps hit-and-run steps over the base polytope on the
+// sample's own (voteSeed, i) stream. It keeps the end point, the answer
+// the queried set would give there, and the stream's state for the
+// sample's inner chain to resume from.
+func (p *proposals) propose(w *walker, x0 []float64, set query.Set, budget, steps int, voteSeed int64) {
+	n := len(x0)
+	p.pts = resize(p.pts, budget*n)
+	p.ans = resize(p.ans, budget)
+	p.streams = resize(p.streams, budget)
+	var src randx.SplitMix
+	rng := rand.New(&src)
+	for i := 0; i < budget; i++ {
+		src.Reseed(voteSeed, uint64(i))
+		w.resetTo(x0)
+		for t := 0; t < steps; t++ {
+			w.step(rng)
+		}
+		x := w.point()
+		ans := 0.0
+		for _, j := range set {
+			ans += x[j]
+		}
+		copy(p.pts[i*n:(i+1)*n], x)
+		p.ans[i] = ans
+		p.streams[i] = src
+	}
+}
+
+// rank fills order with the vote order. Ranked, samples go by the
+// distance of their answer from the budget's median answer, largest
+// first, ties by index: the more extreme a simulated answer, the likelier
+// its posterior leaves the λ-window, so a denial's first unsafe verdict
+// tends to come at position 0. Unranked, the order is the index order.
+// Under exact certificates the decision depends only on the multiset of
+// verdicts, so the order moves no decision; it is a pure function of
+// (seed, history), so the certificate point stays deterministic too.
+func (p *proposals) rank(budget int, ranked bool) {
+	p.order = resize(p.order, budget)
+	for i := range p.order {
+		p.order[i] = i
+	}
+	if !ranked {
+		return
+	}
+	p.dist = append(p.dist[:0], p.ans...)
+	slices.Sort(p.dist)
+	med := (p.dist[(budget-1)/2] + p.dist[budget/2]) / 2
+	for i, v := range p.ans {
+		p.dist[i] = math.Abs(v - med)
+	}
+	slices.SortStableFunc(p.order, func(x, y int) int { return cmp.Compare(p.dist[y], p.dist[x]) })
+}
+
+// resize returns s with length n, reusing its backing array when large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decideScratch is the per-lane reusable state of the vote: the extended
+// answer vector, the lane's stream (rebased onto each sample's saved
+// state), a reusable extended-system instance with its own walker, and
+// the flat batch-means accumulators of the inner estimator.
 type decideScratch struct {
-	w    *walker
 	extB []float64
+	src  randx.SplitMix
+	// rng draws from src; confined to the lane like the scratch itself.
+	rng  *rand.Rand //auditlint:allow rngshare lane scratch is held by exactly one in-flight sample at a time
 	ext  polytope
 	extW walker
 	sums []float64

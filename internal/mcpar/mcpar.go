@@ -36,6 +36,11 @@
 // budget — still deterministically: the test reads only prefix counts,
 // so a given seed stops at the same point at every worker count.
 //
+// The caller evaluates position 0 alone before it offers the scheduler
+// any work token, so a decision its first sample settles (a deny under
+// barrier 0) costs one sample and no assist, while one that needs more
+// loses at most one sample-time of overlap.
+//
 // Workers can have samples in flight when a rule fires. The claim window
 // bounds them (evaluated + cancelled ≤ CertPoint + Workers), and the
 // run's Stop signal tells them their verdicts will never be read: a long
@@ -211,11 +216,13 @@ func (s *Stop) Stopped() bool { return s.flag.Load() }
 // needed. Vote returns only after every sample it started has returned.
 //
 // The calling goroutine always participates: with Workers == 1 the whole
-// run is inline and allocation-light, with Workers > 1 up to Workers-1
-// work tokens are offered to the scheduler and the caller races the
-// assists for the remaining samples. An assist starts a sample only on a
-// free CPU slot of the scheduler (see Scheduler), so under load the
-// caller runs the decision alone.
+// run is inline and allocation-light. With Workers > 1 the caller first
+// evaluates position 0 alone; only if that verdict fires no certificate
+// are up to Workers-1 work tokens offered to the scheduler, and the
+// caller races the assists for the remaining samples. A lone decision
+// therefore loses at most one sample-time of overlap. An assist starts a
+// sample only on a free CPU slot of the scheduler (see Scheduler), so
+// under load the caller runs the decision alone.
 func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample func(i int, rng *rand.Rand, scratch S) bool) Outcome {
 	workers := cfg.resolveWorkers(budget)
 	start := time.Now() //auditlint:allow detrand latency metric stamp, never a decision input
@@ -264,12 +271,16 @@ func Vote[S any](cfg Config, budget, barrier int, newScratch func() S, sample fu
 		return unsafe
 	}
 
-	tokens := 0
 	if sched != nil {
 		sched.acquire()
+	}
+	// Probe, then fan out (see above).
+	callerRan := r.work(1, false)
+	tokens := 0
+	if sched != nil && r.claimable() {
 		tokens = sched.offer(r, workers-1)
 	}
-	callerRan := r.work(0)
+	callerRan += r.work(0, false)
 	if sched != nil {
 		sched.release()
 	}

@@ -5,14 +5,16 @@ package mcpar
 //
 // # Deterministic certificates
 //
-// Sample verdicts commit into results[] by index, and a frontier sweeps
-// the contiguous evaluated prefix in index order. Stopping rules are
+// Verdicts commit into results[] by vote position, and a frontier sweeps
+// the contiguous evaluated prefix in position order. Stopping rules are
 // checked only at frontier positions — i.e. against the vote count of the
-// prefix [0, m) — so the stop point (certPoint) and the decision are pure
-// functions of the per-index verdicts, which are themselves pure
-// functions of (seed, index). Worker count, scheduling, and commit order
-// cannot change either. certPoint equals exactly the sample at which the
-// old sequential loop stopped.
+// prefix [0, m) — so the stop point (certPoint, a count of positions) and
+// the decision are pure functions of the per-position verdicts. Those
+// are pure functions of (seed, position): position j runs on stream
+// (seed, j), or on the stream of whichever sample the caller's own
+// seed-determined order puts at j (sumprob's ranked votes). Worker count,
+// scheduling, and commit order cannot change either. certPoint equals exactly the
+// position at which a sequential loop over the same order stops.
 //
 // # Bounded overshoot and cancellation
 //
@@ -98,15 +100,14 @@ func newRun(budget, barrier, window, chunk int, alpha float64, sched *Scheduler,
 
 // work claims and evaluates samples until the run stops or, when limit is
 // positive, until limit samples ran. It returns the number run. The
-// deciding goroutine calls it with limit 0 and holds its own CPU slot for
-// the whole call; the scheduler's assists call it with limit = chunk and
-// take a slot per sample, so an assist stops early — declining its token
-// — when every slot is busy. Assisted samples are tallied before they
-// run so the count is complete when the run's done channel closes.
-func (r *run) work(limit int) int {
-	assist := limit > 0
+// deciding goroutine calls it as a non-assist and holds its own CPU slot
+// for the whole run; the scheduler's assists call it with limit = chunk
+// and take a slot per sample, so an assist stops early — declining its
+// token — when every slot is busy. Assisted samples are tallied before
+// they run so the count is complete when the run's done channel closes.
+func (r *run) work(limit int, assist bool) int {
 	n := 0
-	for !assist || n < limit {
+	for limit <= 0 || n < limit {
 		i, ok := r.claim(assist)
 		if !ok {
 			break

@@ -20,15 +20,19 @@ package mcpar
 //
 // # CPU slots
 //
-// The pool has Size() CPU slots. A deciding caller holds one for its
-// whole run; an assist takes one per sample and only while one is free.
-// An assist that finds every slot busy drops (declines) its token and the
-// caller finishes the run alone. So assists only fill idle CPUs: a lone
-// decision keeps its parallel speed-up, while decisions that already
-// occupy every slot run without speculative help. At most Size() assist
-// samples run at once, and Monte Carlo work occupies at most
-// max(Size(), deciding callers) CPUs, apart from assist samples already
-// running when more callers arrive, which finish and then yield.
+// The pool has min(Size(), GOMAXPROCS) CPU slots, fixed when it is
+// built: a pool larger than the CPUs the runtime schedules on would hand
+// assists "slots" with no CPU behind them. A deciding caller holds one
+// slot for its whole run; an assist takes one per sample and only while
+// one is free. An assist that finds every slot busy drops (declines) its
+// token and the caller finishes the run alone. So assists only fill idle
+// CPUs: decisions that already occupy every slot run without speculative
+// help, and a lone decision, which offers its tokens only after its first
+// sample certified nothing (see Vote), loses at most one sample-time of
+// overlap. At most slots assist samples run at once, and Monte Carlo work
+// occupies at most max(slots, deciding callers) CPUs, apart from assist
+// samples already running when more callers arrive, which finish and
+// then yield.
 
 import (
 	"runtime"
@@ -60,6 +64,7 @@ type Scheduler struct {
 	queue  []*run // FIFO of work tokens
 	closed bool
 	size   int
+	slots  int // CPU slots: min(size, GOMAXPROCS at construction)
 	wg     sync.WaitGroup
 	obs    SchedObserver
 	// running counts occupied CPU slots: one per deciding caller of a
@@ -68,8 +73,8 @@ type Scheduler struct {
 }
 
 // NewScheduler starts a pool of size assist workers (0 or negative means
-// runtime.GOMAXPROCS(0)). Size is also the number of CPU slots: it bounds
-// how many samples the pool evaluates concurrently ACROSS all decisions;
+// runtime.GOMAXPROCS(0)). The pool's CPU slots, min(size, GOMAXPROCS),
+// bound how many samples it evaluates concurrently ACROSS all decisions;
 // each decision's own cap is Config.Workers. A size-0 pool is impossible
 // — callers wanting fully sequential decisions set Config.Workers to 1,
 // which never enqueues tokens at all.
@@ -81,10 +86,11 @@ func NewScheduler(size int) *Scheduler {
 
 // newScheduler builds the pool without starting its workers.
 func newScheduler(size int) *Scheduler {
+	procs := runtime.GOMAXPROCS(0)
 	if size <= 0 {
-		size = runtime.GOMAXPROCS(0)
+		size = procs
 	}
-	s := &Scheduler{size: size}
+	s := &Scheduler{size: size, slots: min(size, procs)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -162,7 +168,7 @@ func (s *Scheduler) worker() {
 		s.mu.Unlock()
 		// A short chunk means the run stopped, ran out of samples, or
 		// found no free slot: the token is spent either way.
-		if r.work(r.chunk) == r.chunk && r.claimable() {
+		if r.work(r.chunk, true) == r.chunk && r.claimable() {
 			s.offer(r, 1)
 		}
 	}
@@ -175,7 +181,7 @@ func (s *Scheduler) acquire() { s.running.Add(1) }
 func (s *Scheduler) tryAcquire() bool {
 	for {
 		n := s.running.Load()
-		if n >= int64(s.size) {
+		if n >= int64(s.slots) {
 			return false
 		}
 		if s.running.CompareAndSwap(n, n+1) {

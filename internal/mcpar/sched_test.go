@@ -240,12 +240,22 @@ func spinUntil(cond func() bool) bool {
 	return true
 }
 
-// When sample 0 fires the deny certificate, samples still in flight see
+// withProcs runs the rest of the test at GOMAXPROCS n, so a scheduler
+// built after the call has n CPU slots whatever the host offers.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// When sample 1 fires the deny certificate, samples still in flight see
 // the stop signal and return: Vote must not wait for them to finish
 // their work, and the decision, certificate point and votes must match
-// the sequential run. Sample 0 waits until a second sample has started,
+// the sequential run. Sample 0 is the caller's lone probe and certifies
+// nothing; sample 1 waits until another sample has started beside it,
 // so a parallel run always has one in flight at the certificate.
 func TestVoteCancelsInFlightSamplesOnCertificate(t *testing.T) {
+	withProcs(t, 8)
 	sched := NewScheduler(8)
 	defer sched.Close()
 	obs := &schedCapture{}
@@ -258,9 +268,12 @@ func TestVoteCancelsInFlightSamplesOnCertificate(t *testing.T) {
 			func() struct{} { return struct{}{} },
 			func(i int, _ *rand.Rand, _ struct{}) bool {
 				started.Add(1)
-				if i == 0 {
-					if workers > 1 && !spinUntil(func() bool { return started.Load() >= 2 }) {
-						t.Errorf("workers=%d: no second sample started beside sample 0", workers)
+				switch i {
+				case 0:
+					return false
+				case 1:
+					if workers > 1 && !spinUntil(func() bool { return started.Load() >= 3 }) {
+						t.Errorf("workers=%d: no other sample started beside sample 1", workers)
 					}
 					return true
 				}
@@ -272,8 +285,8 @@ func TestVoteCancelsInFlightSamplesOnCertificate(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("workers=%d: Vote took %v waiting for cancelled samples", workers, elapsed)
 		}
-		if !out.Exceeded || out.CertPoint != 1 || out.Votes != 1 {
-			t.Fatalf("workers=%d: (deny=%v cert=%d votes=%d), want (true 1 1)",
+		if !out.Exceeded || out.CertPoint != 2 || out.Votes != 1 {
+			t.Fatalf("workers=%d: (deny=%v cert=%d votes=%d), want (true 2 1)",
 				workers, out.Exceeded, out.CertPoint, out.Votes)
 		}
 		if out.Evaluated < out.CertPoint || out.Evaluated+out.Cancelled > out.CertPoint+out.Workers {
@@ -293,18 +306,68 @@ func TestVoteCancelsInFlightSamplesOnCertificate(t *testing.T) {
 	}
 }
 
+// A deny certificate at position 0 settles the decision on the caller's
+// lone probe: exactly one sample runs, no token is offered, and the
+// scheduler reports no assisted run, at every worker count.
+func TestVoteProbeDenyRunsOneSample(t *testing.T) {
+	withProcs(t, 8)
+	sched := NewScheduler(8)
+	defer sched.Close()
+	obs := &schedCapture{}
+	sched.SetObserver(obs)
+	for _, workers := range []int{1, 2, 8} {
+		var ran atomic.Int32
+		out := Vote(Config{Workers: workers, Seed: 3, Sched: sched}, 64, 0,
+			func() struct{} { return struct{}{} },
+			func(int, *rand.Rand, struct{}) bool {
+				ran.Add(1)
+				return true
+			})
+		if got := ran.Load(); got != 1 {
+			t.Fatalf("workers=%d: %d samples ran, want 1", workers, got)
+		}
+		if !out.Exceeded || out.CertPoint != 1 || out.Evaluated != 1 || out.Cancelled != 0 {
+			t.Fatalf("workers=%d: %+v, want a deny at 1 with one sample evaluated", workers, out)
+		}
+	}
+	if _, n := obs.total(); n != 0 {
+		t.Fatalf("%d assisted runs reported, want none: a probe deny offers no token", n)
+	}
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	if len(sched.queue) != 0 {
+		t.Fatalf("%d tokens left queued after probe denies", len(sched.queue))
+	}
+}
+
+// A pool built larger than GOMAXPROCS has only GOMAXPROCS CPU slots:
+// assists must not see "free" slots with no CPU behind them.
+func TestSchedulerSlotsCappedAtGOMAXPROCS(t *testing.T) {
+	withProcs(t, 2)
+	s := newScheduler(8)
+	granted := 0
+	for i := 0; i < 8 && s.tryAcquire(); i++ {
+		granted++
+	}
+	if granted != 2 || s.Size() != 8 {
+		t.Fatalf("newScheduler(8) at GOMAXPROCS 2: %d slots granted, size %d; want 2 slots, size 8", granted, s.Size())
+	}
+}
+
 // A pool of size P with P callers deciding at once has no idle CPU slot:
 // every assist token is declined and no assist sample runs. The callers
-// still reach the sequential decisions on their own.
+// still reach the sequential decisions on their own. Tokens are offered
+// after each caller's lone probe of sample 0, so the callers meet inside
+// sample 1.
 func TestAssistsDeclinedWhenCallersFillSlots(t *testing.T) {
 	const p, budget = 3, 64
-	sched := newScheduler(p) // workers start once every caller is inside a sample
+	sched := newScheduler(p) // workers start once every caller is inside sample 1
 	obs := &schedCapture{}
 	sched.SetObserver(obs)
 	var entered atomic.Int32
 	release := make(chan struct{})
 	sample := func(i int, rng *rand.Rand, _ struct{}) bool {
-		if i == 0 {
+		if i == 1 {
 			entered.Add(1)
 			<-release
 		}
@@ -320,7 +383,7 @@ func TestAssistsDeclinedWhenCallersFillSlots(t *testing.T) {
 				func() struct{} { return struct{}{} }, sample)
 		}(c)
 	}
-	waitFor(t, "every caller inside its first sample", func() bool { return entered.Load() == p })
+	waitFor(t, "every caller inside sample 1", func() bool { return entered.Load() == p })
 	sched.start()
 	waitFor(t, "the pool to take every token", func() bool {
 		sched.mu.Lock()
@@ -351,10 +414,12 @@ func TestAssistsDeclinedWhenCallersFillSlots(t *testing.T) {
 	}
 }
 
-// A lone decision leaves CPU slots idle, so the pool does assist it:
-// sample 0 returns only once another sample has started beside it, which
-// whoever of caller and assist did not take sample 0 must run.
+// A lone decision leaves CPU slots idle, so the pool does assist it once
+// its probe of sample 0 certified nothing: sample 1 returns only once
+// another sample has started beside it, which whoever of caller and
+// assist did not take sample 1 must run.
 func TestLoneCallerGetsAssists(t *testing.T) {
+	withProcs(t, 2)
 	sched := NewScheduler(2)
 	defer sched.Close()
 	obs := &schedCapture{}
@@ -364,8 +429,8 @@ func TestLoneCallerGetsAssists(t *testing.T) {
 		func() struct{} { return struct{}{} },
 		func(i int, _ *rand.Rand, _ struct{}) bool {
 			started.Add(1)
-			if i == 0 && !spinUntil(func() bool { return started.Load() >= 2 }) {
-				t.Error("no second sample ran beside sample 0")
+			if i == 1 && !spinUntil(func() bool { return started.Load() >= 3 }) {
+				t.Error("no other sample ran beside sample 1")
 			}
 			return false
 		})

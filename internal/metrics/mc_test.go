@@ -31,11 +31,13 @@ func TestSchedCollector(t *testing.T) {
 	}
 }
 
-// Through a real scheduler: sample 0 denies only after sample 1 started
-// beside it, and sample 1 then runs until the stop signal, so exactly
-// one sample is cancelled. The counters must account for every sample:
+// Through a real scheduler: sample 0 is the caller's lone probe and
+// certifies nothing; sample 1 denies only after sample 2 started beside
+// it, and sample 2 then runs until the stop signal, so exactly one
+// sample is cancelled. The counters must account for every sample:
 // assist + caller = evaluated + cancelled.
 func TestSchedCollectorCountsCancelledSamples(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two CPU slots on any host
 	r := NewRegistry()
 	sched := mcpar.NewScheduler(2)
 	defer sched.Close()
@@ -57,22 +59,25 @@ func TestSchedCollectorCountsCancelledSamples(t *testing.T) {
 		func() struct{} { return struct{}{} },
 		func(i int, _ *rand.Rand, _ struct{}) bool {
 			started.Add(1)
-			if i == 0 {
-				wait("a second sample", func() bool { return started.Load() >= 2 })
+			switch i {
+			case 0:
+				return false
+			case 1:
+				wait("a sample beside sample 1", func() bool { return started.Load() >= 3 })
 				return true
 			}
 			wait("the stop signal", stop.Stopped)
 			return false
 		})
-	if !out.Exceeded || out.CertPoint != 1 || out.Evaluated != 1 || out.Cancelled != 1 {
-		t.Fatalf("outcome %+v, want deny at 1 with one sample evaluated and one cancelled", out)
+	if !out.Exceeded || out.CertPoint != 2 || out.Evaluated != 2 || out.Cancelled != 1 {
+		t.Fatalf("outcome %+v, want deny at 2 with two samples evaluated and one cancelled", out)
 	}
 	s := r.Snapshot().Counters
-	if s["mcsched_samples_cancelled_total"] != 1 || s["mc_samples_total"] != 1 {
-		t.Fatalf("cancelled %d, evaluated %d; want 1 and 1", s["mcsched_samples_cancelled_total"], s["mc_samples_total"])
+	if s["mcsched_samples_cancelled_total"] != 1 || s["mc_samples_total"] != 2 {
+		t.Fatalf("cancelled %d, evaluated %d; want 1 and 2", s["mcsched_samples_cancelled_total"], s["mc_samples_total"])
 	}
-	if ran := s["mcsched_assist_samples_total"] + s["mcsched_caller_samples_total"]; ran != 2 {
-		t.Fatalf("assist + caller samples = %d, want 2", ran)
+	if ran := s["mcsched_assist_samples_total"] + s["mcsched_caller_samples_total"]; ran != 3 {
+		t.Fatalf("assist + caller samples = %d, want 3", ran)
 	}
 	if s["mcsched_tokens_declined_total"] != 0 {
 		t.Fatalf("lone decision declined %d tokens", s["mcsched_tokens_declined_total"])

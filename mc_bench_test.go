@@ -130,6 +130,51 @@ func BenchmarkSumProbDecideDefaultBudget(b *testing.B) {
 	}
 }
 
+// BenchmarkSumProbServingDecide is the sumprob layer at the perfbench
+// prob workload's shape: n=40, the server's default parameters and
+// budget, an empty history (the workload answers no sum), and query sets
+// of 6, 8, 12 and 22 records in turn. Every such decision is a denial,
+// so its cost is what the vote spends before its deny certificate:
+// positions/decision counts the vote positions whose inner chain ran to
+// completion, cpu-ms/decision the process CPU including assists.
+func BenchmarkSumProbServingDecide(b *testing.B) {
+	const n = 40
+	rng := randx.New(40)
+	var qs []query.Query
+	for _, size := range []int{6, 8, 12, 22} {
+		qs = append(qs, query.New(query.Sum, rng.Perm(n)[:size]...))
+	}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sched := mcpar.NewScheduler(0)
+			defer sched.Close()
+			a, err := sumprob.New(n, sumprob.Params{
+				Lambda: 0.45, Gamma: 4, Delta: 0.2, T: 12,
+				Workers: workers, Seed: 2,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.SetScheduler(sched)
+			if _, err := a.Decide(qs[0]); err != nil { // warm the posterior cache
+				b.Fatal(err)
+			}
+			var samples sampleCounter
+			a.SetMCObserver(&samples)
+			b.ResetTimer()
+			cpu0 := processCPU(b)
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Decide(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cpu := processCPU(b) - cpu0
+			b.ReportMetric(cpu.Seconds()*1000/float64(b.N), "cpu-ms/decision")
+			b.ReportMetric(float64(samples.evaluated.Load())/float64(b.N), "positions/decision")
+		})
+	}
+}
+
 // BenchmarkAggregateDecideQPS measures the serving-shape throughput the
 // scheduler rework targets: many analysts' sessions (one sumprob auditor
 // each, as the session manager builds them) deciding concurrently over
